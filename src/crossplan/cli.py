@@ -1,5 +1,4 @@
-"""Command line entry points: run a scenario, benchmark planning cycles,
-or validate a scenario file."""
+"""Command line entry points: run a scenario or validate a scenario file."""
 
 from __future__ import annotations
 
@@ -38,9 +37,7 @@ def main(argv=None) -> int:
                   f"{len(scenario.vehicles)} vehicles, "
                   f"{len(scenario.graph.conflict_zones)} conflict zones)")
             return EXIT_OK
-        if args.command == "run":
-            return _run(scenario, args)
-        return _bench(scenario, args)
+        return _run(scenario, args)
     except PlanningError as exc:
         print(f"planner error: {exc}", file=sys.stderr)
         return EXIT_PLANNER
@@ -62,13 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate and write trace CSV + summary")
     common(p_run)
     p_run.add_argument("--out", default="trace.csv", help="trace CSV path")
-
-    p_bench = sub.add_parser("bench", help="planning-cycle runtime benchmark")
-    common(p_bench)
-    p_bench.add_argument("--vehicles", type=int, default=10,
-                         help="extra vehicles to add")
-    p_bench.add_argument("--repetitions", type=int, default=1)
-    p_bench.add_argument("--out", default=None, help="write report JSON here")
 
     p_check = sub.add_parser("check", help="validate a scenario file")
     common(p_check)
@@ -135,35 +125,8 @@ def _summarize(trace: list[TraceRecord], scenario: Scenario) -> dict:
     }
 
 
-def _bench(scenario: Scenario, args) -> int:
-    scenario = add_random_vehicles(scenario, args.vehicles)
-    all_ms = []
-    metrics = []
-    for rep in range(args.repetitions):
-        trace = run(scenario, SimConfig())
-        ms = [r.plan_ms for r in trace if r.plan_ms > 0.0]
-        # the very first cycle pays one-time JIT/cache warmup; drop it
-        all_ms.extend(ms[1:] if rep == 0 and len(ms) > 1 else ms)
-        metrics.append({"min_speed": min(r.ego_v for r in trace),
-                        "final_ego_s": trace[-1].ego_s})
-    report = {
-        "scenario": scenario.name,
-        "vehicles_total": len(scenario.vehicles),
-        "repetitions": args.repetitions,
-        "cycles": len(all_ms),
-        "plan_ms_mean": float(np.mean(all_ms)),
-        "plan_ms_max": float(np.max(all_ms)),
-        "trajectory_metrics": metrics,
-    }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text)
-    print(text)
-    return EXIT_OK
-
-
 def add_random_vehicles(scenario: Scenario, count: int) -> Scenario:
-    """Seeded placement of extra double-integrator vehicles for benchmarks."""
+    """Seeded placement of extra double-integrator vehicles."""
     if count <= 0:
         return scenario
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0xBE]))

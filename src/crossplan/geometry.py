@@ -180,12 +180,6 @@ def arc_to_cartesian(s: float, d: float, route: Route, extrapolate: bool = False
     return route.centerline.point_at(s, d, extrapolate=extrapolate)
 
 
-def curvature_at(s: float, route: Route) -> float:
-    if s < -1e-9 or s > route.length + 1e-9:
-        raise SOutOfRange(f"s={s} outside route {route.id}")
-    return route.centerline.curvature_at(s)
-
-
 def compute_conflict_zone(route_a: Route, route_b: Route,
                           lane_half_width: float = DEFAULT_LANE_HALF_WIDTH
                           ) -> Optional[ConflictZone]:

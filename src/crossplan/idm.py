@@ -112,6 +112,26 @@ def idm_acceleration(v: float, v0: float, gap: Optional[float] = None,
     return min(max(a, -HARD_DECEL), params.a_idm)
 
 
+@lru_cache(maxsize=256)
+def _curve_limit(route: Route, a_lat_max: float,
+                 decel: float) -> tuple[float, np.ndarray]:
+    """(grid step, speed) of the curvature limit after the backward pass.
+
+    Capping this at a speed limit gives the same values as running the
+    pass on the capped speeds: sqrt(L*L + 2*decel*ds) >= L, and rounding
+    is monotone.
+    """
+    n = max(int(math.ceil(route.length / PROFILE_STEP)) + 1, 2)
+    s = np.linspace(0.0, route.length, n)
+    ds = s[1] - s[0]
+    kappa = np.abs([route.centerline.curvature_at(si) for si in s])
+    v = np.sqrt(a_lat_max / np.maximum(kappa, _KAPPA_EPS))
+    for i in range(n - 2, -1, -1):
+        v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * decel * ds))
+    v.setflags(write=False)
+    return float(ds), v
+
+
 def target_speed_profile(route: Route, v_limit: float,
                          a_lat_max: float = DEFAULT_A_LAT_MAX,
                          decel: float = 4.0) -> SpeedProfile:
@@ -122,87 +142,14 @@ def target_speed_profile(route: Route, v_limit: float,
     """
     if a_lat_max <= 0.0:
         raise ValueError("a_lat_max must be positive")
-    n = max(int(math.ceil(route.length / PROFILE_STEP)) + 1, 2)
-    s = np.linspace(0.0, route.length, n)
-    ds = s[1] - s[0]
-    kappa = np.abs([route.centerline.curvature_at(si) for si in s])
-    v = np.minimum(v_limit, np.sqrt(a_lat_max / np.maximum(kappa, _KAPPA_EPS)))
-    for i in range(n - 2, -1, -1):
-        v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * decel * ds))
-    return SpeedProfile(s0_grid=0.0, ds=float(ds), v=v)
+    ds, v = _curve_limit(route, a_lat_max, decel)
+    return SpeedProfile(s0_grid=0.0, ds=ds, v=np.minimum(v_limit, v))
 
 
 @lru_cache(maxsize=256)
-def route_profile(route: Route, v_limit: Optional[float] = None,
-                  a_lat_max: float = DEFAULT_A_LAT_MAX) -> SpeedProfile:
-    """Memoized speed profile; defaults to the route's speed limit."""
-    if v_limit is None:
-        v_limit = route.speed_limit
-    return target_speed_profile(route, v_limit, a_lat_max)
-
-
-def _rollout_kernel(s_out, v_out, n, dt, s_init, v_init,
-                    prof_s0, prof_inv_ds, prof_v,
-                    leader_s, leader_v, has_leader,
-                    stop_at, has_stop,
-                    a_idm, b, s0_p, T, delta, two_sqrt_ab,
-                    vehicle_length, gap_eps, hard_decel):
-    """Explicit-Euler IDM integration; numba-compiled when available."""
-    s = s_init
-    v = v_init
-    prof_n = len(prof_v) - 1
-    for i in range(n):
-        s_out[i] = s
-        v_out[i] = v
-        if i == n - 1:
-            break
-        # target speed lookup (uniform-grid linear interpolation)
-        x = (s - prof_s0) * prof_inv_ds
-        if x <= 0.0:
-            v0 = prof_v[0]
-        elif x >= prof_n:
-            v0 = prof_v[prof_n]
-        else:
-            j = int(x)
-            f = x - j
-            v0 = prof_v[j] * (1.0 - f) + prof_v[j + 1] * f
-        # binding gap: min over real leader and standing stop target
-        gap = -1.0
-        dv = 0.0
-        if has_leader:
-            g = leader_s[i] - s - vehicle_length
-            gap = g if g > gap_eps else gap_eps
-            dv = v - leader_v[i]
-        if has_stop:
-            g_stop = stop_at - s
-            if g_stop <= gap_eps:
-                g_stop = gap_eps
-            if gap < 0.0 or g_stop < gap:
-                gap = g_stop
-                dv = v
-        if gap < 0.0:
-            a = a_idm * (1.0 - (v / v0) ** delta)
-        else:
-            s_star = s0_p + v * T + v * dv / two_sqrt_ab
-            a = a_idm * (1.0 - (v / v0) ** delta - (s_star / gap) ** 2)
-        if a > a_idm:
-            a = a_idm
-        elif a < -hard_decel:
-            a = -hard_decel
-        s = s + v * dt
-        v = v + a * dt
-        if v < 0.0:
-            v = 0.0
-
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    _rollout_kernel = njit(cache=True)(_rollout_kernel)
-except ImportError:  # pragma: no cover
-    pass
-
-_EMPTY = np.empty(0)
+def route_profile(route: Route) -> SpeedProfile:
+    """Memoized speed profile at the route's own speed limit."""
+    return target_speed_profile(route, route.speed_limit)
 
 
 def rollout(start: LongState, profile: SpeedProfile,
@@ -221,16 +168,57 @@ def rollout(start: LongState, profile: SpeedProfile,
         raise ValueError("n must be >= 2")
     if leader is not None and len(leader) < n:
         raise HorizonMismatch(f"leader has {len(leader)} samples, need {n}")
+    leader_s = leader.s if leader is not None else None
+    leader_v = leader.v if leader is not None else None
+    prof_s0, prof_v = profile.s0_grid, profile.v
+    prof_inv_ds = 1.0 / profile.ds
+    prof_n = len(prof_v) - 1
+    a_idm, delta, s0_p, T = params.a_idm, params.delta, params.s0, params.T
+    two_sqrt_ab = 2.0 * math.sqrt(params.a_idm * params.b)
     s_out = np.empty(n)
     v_out = np.empty(n)
-    _rollout_kernel(
-        s_out, v_out, n, dt, start.s, max(start.v, 0.0),
-        profile.s0_grid, 1.0 / profile.ds, profile.v,
-        leader.s if leader is not None else _EMPTY,
-        leader.v if leader is not None else _EMPTY,
-        leader is not None,
-        stop_at if stop_at is not None else 0.0, stop_at is not None,
-        params.a_idm, params.b, params.s0, params.T, params.delta,
-        2.0 * math.sqrt(params.a_idm * params.b),
-        vehicle_length, _GAP_EPS, HARD_DECEL)
+    s = start.s
+    v = max(start.v, 0.0)
+    for i in range(n - 1):
+        s_out[i] = s
+        v_out[i] = v
+        # target speed lookup (uniform-grid linear interpolation)
+        x = (s - prof_s0) * prof_inv_ds
+        if x <= 0.0:
+            v0 = prof_v[0]
+        elif x >= prof_n:
+            v0 = prof_v[prof_n]
+        else:
+            j = int(x)
+            f = x - j
+            v0 = prof_v[j] * (1.0 - f) + prof_v[j + 1] * f
+        # binding gap: min over real leader and standing stop target
+        gap = None
+        dv = 0.0
+        if leader_s is not None:
+            g = leader_s[i] - s - vehicle_length
+            gap = g if g > _GAP_EPS else _GAP_EPS
+            dv = v - leader_v[i]
+        if stop_at is not None:
+            g_stop = stop_at - s
+            if g_stop <= _GAP_EPS:
+                g_stop = _GAP_EPS
+            if gap is None or g_stop < gap:
+                gap = g_stop
+                dv = v
+        if gap is None:
+            a = a_idm * (1.0 - (v / v0) ** delta)
+        else:
+            s_star = s0_p + v * T + v * dv / two_sqrt_ab
+            a = a_idm * (1.0 - (v / v0) ** delta - (s_star / gap) ** 2)
+        if a > a_idm:
+            a = a_idm
+        elif a < -HARD_DECEL:
+            a = -HARD_DECEL
+        s = s + v * dt
+        v = v + a * dt
+        if v < 0.0:
+            v = 0.0
+    s_out[n - 1] = s
+    v_out[n - 1] = v
     return LongTrajectory(s_out, v_out, dt=dt, t0=t0)

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoCandidateRoute
-from .geometry import Route, RouteGraph, normalize_angle, project_to_route
+from .geometry import FrenetPose, Route, RouteGraph, normalize_angle
 from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
                   VEHICLE_LENGTH, rollout, route_profile)
 
@@ -79,28 +79,30 @@ class Hypothesis:
     start: Optional[LongState] = None
 
 
-def route_belief(position, heading: float, candidates: list[Route],
+def route_belief(poses: dict[str, FrenetPose],
                  params: PredictorParams = PredictorParams()) -> dict[str, float]:
-    """Bayes route probabilities from lateral offset and heading difference.
+    """Bayes route probabilities from each candidate route's pose (lateral
+    offset and heading difference), as returned by `candidate_routes`.
 
     Gaussian likelihoods with zero mean; uniform prior over candidates.
     """
-    if not candidates:
+    if not poses:
         raise NoCandidateRoute("no candidate route for vehicle")
     logs = {}
-    for route in candidates:
-        pose = project_to_route(position, heading, route)
-        logs[route.id] = -0.5 * ((pose.phi / params.sigma_phi) ** 2
-                                 + (pose.d / params.sigma_d) ** 2)
+    for rid, pose in poses.items():
+        logs[rid] = -0.5 * ((pose.phi / params.sigma_phi) ** 2
+                            + (pose.d / params.sigma_d) ** 2)
     peak = max(logs.values())
     w = {rid: math.exp(l - peak) for rid, l in logs.items()}
     total = sum(w.values())
     return {rid: wi / total for rid, wi in w.items()}
 
 
-def candidate_routes(vehicle: VehicleState, graph: RouteGraph) -> list[Route]:
-    """Routes whose corridor (|d|, |phi| bounds) contains the vehicle."""
-    out = []
+def candidate_routes(vehicle: VehicleState,
+                     graph: RouteGraph) -> dict[str, FrenetPose]:
+    """The vehicle's pose on every route whose corridor (|d|, |phi| bounds)
+    contains it, by route id in sorted order."""
+    out = {}
     for rid in sorted(graph.routes):
         route = graph.routes[rid]
         s, d, dist = route.centerline.project(vehicle.position)
@@ -108,7 +110,7 @@ def candidate_routes(vehicle: VehicleState, graph: RouteGraph) -> list[Route]:
             continue
         phi = normalize_angle(vehicle.heading - route.centerline.heading_at(s))
         if abs(d) <= CANDIDATE_D_MAX and abs(phi) <= CANDIDATE_PHI_MAX:
-            out.append(route)
+            out[rid] = FrenetPose(s=s, d=d, phi=phi)
     return out
 
 
@@ -171,15 +173,9 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
         cands = candidate_routes(veh, graph)
         if not cands:
             continue  # vehicle left the mapped area; nothing to predict
-        beliefs[veh.id] = route_belief(veh.position, veh.heading, cands, params)
-        poses[veh.id] = {
-            r.id: LongState(project_to_route(veh.position, veh.heading, r).s,
-                            veh.speed)
-            for r in cands
-        }
-
-    def profile_for(route: Route) -> SpeedProfile:
-        return route_profile(route)
+        beliefs[veh.id] = route_belief(cands, params)
+        poses[veh.id] = {rid: LongState(pose.s, veh.speed)
+                         for rid, pose in cands.items()}
 
     # depth-1 base rollouts: each vehicle free-driving its most likely route
     base: dict[str, tuple[str, LongTrajectory]] = {}
@@ -188,7 +184,7 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
             continue
         rid = max(beliefs[veh.id], key=lambda r: (beliefs[veh.id][r], r))
         route = graph.routes[rid]
-        traj = rollout(poses[veh.id][rid], profile_for(route), n=n, dt=dt,
+        traj = rollout(poses[veh.id][rid], route_profile(route), n=n, dt=dt,
                        t0=scene.time, params=idm_params,
                        vehicle_length=vehicle_length)
         base[veh.id] = (rid, traj)
@@ -205,8 +201,8 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
             route = graph.routes[rid]
             start = poses[veh.id][rid]
             leader = _closest_leader(veh.id, rid, start.s, scene, beliefs,
-                                     base, params.delta_r)
-            profile = profile_for(route)
+                                     poses, base, params.delta_r)
+            profile = route_profile(route)
             drive_traj = rollout(start, profile, leader=leader, n=n, dt=dt,
                                  t0=scene.time, params=idm_params,
                                  vehicle_length=vehicle_length)
@@ -239,7 +235,8 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
 
 
 def _closest_leader(veh_id: str, route_id: str, s: float, scene: SceneState,
-                    beliefs, base, delta_r: float) -> Optional[LongTrajectory]:
+                    beliefs, poses, base,
+                    delta_r: float) -> Optional[LongTrajectory]:
     """Most likely rollout of the closest vehicle ahead on the same route,
     among vehicles whose own probability for that route exceeds delta_r."""
     best = None
@@ -250,10 +247,10 @@ def _closest_leader(veh_id: str, route_id: str, s: float, scene: SceneState,
         b = beliefs.get(other.id, {})
         if b.get(route_id, 0.0) <= delta_r:
             continue
-        pose = project_to_route(other.position, other.heading,
-                                scene.graph.routes[route_id])
-        if pose.s > s and pose.s < best_s:
-            best_s = pose.s
+        # a route the vehicle believes in is one of its candidates
+        s_other = poses[other.id][route_id].s
+        if s_other > s and s_other < best_s:
+            best_s = s_other
             best = other.id
     if best is None:
         return None

@@ -160,9 +160,10 @@ def _replan(plan, plan_idx, t, agents, scenario, graph, ego_route,
     ego_pos = plan[plan_idx]
     v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * dt)
     speed = float(np.hypot(*v_vec))
+    # only the pose's s and d are read; neither depends on the heading
+    pose = project_to_route(ego_pos, 0.0, ego_route)
     heading = (math.atan2(v_vec[1], v_vec[0]) if speed > 0.05
-               else ego_route.centerline.heading_at(
-                   project_to_route(ego_pos, 0.0, ego_route).s))
+               else ego_route.centerline.heading_at(pose.s))
     ego_state = VehicleState(id="ego", position=ego_pos, heading=heading,
                              speed=speed)
     scene = SceneState(ego=ego_state,
@@ -172,8 +173,7 @@ def _replan(plan, plan_idx, t, agents, scenario, graph, ego_route,
                                      idm_params=idm_params,
                                      params=pred_params,
                                      vehicle_length=params.vehicle_length)
-    ego_long = LongState(project_to_route(ego_pos, heading, ego_route).s,
-                         speed)
+    ego_long = LongState(pose.s, speed)
     options = behavior.generate_options(
         ego_long, ego_route, predictions, graph, idm_params, pred_params,
         n_ref=params.n_ref, dt=dt, t0=t,
@@ -190,7 +190,7 @@ def _replan(plan, plan_idx, t, agents, scenario, graph, ego_route,
     # ego's current lateral offset is decayed to zero over the horizon so
     # the reference stays continuous with the executed prefix
     prefix = plan[plan_idx - 3:plan_idx + 1].copy()
-    d0 = project_to_route(ego_pos, heading, ego_route).d
+    d0 = pose.d
     ref_xy = np.empty((params.n_opt, 2))
     ref_xy[:4] = prefix
     span = params.n_opt - 5

@@ -228,7 +228,7 @@ def test_criterion_7_planning_cycle_runtime():
     assert len(sc.vehicles) == 12  # plus the ego: 13 vehicles in the scene
     trace = run(sc, SimConfig())
     ms = [r.plan_ms for r in trace if r.plan_ms > 0.0]
-    ms = ms[1:]  # first cycle pays one-time JIT/cache warmup
+    ms = ms[1:]  # first cycle fills the speed-profile caches
     mean, worst = float(np.mean(ms)), float(np.max(ms))
     _report(7, "planning cycle runtime",
             mean < 50.0 and worst < 150.0,

@@ -87,18 +87,6 @@ def test_planner_errors_exit_with_code_one(scenario_path, monkeypatch, capsys):
     assert "planner error" in capsys.readouterr().err
 
 
-def test_bench_reports_cycle_statistics(scenario_path, tmp_path, capsys):
-    report_path = tmp_path / "report.json"
-    assert cli.main(["bench", scenario_path, "--vehicles", "2",
-                     "--out", str(report_path)]) == 0
-    report = json.loads(report_path.read_text())
-    assert report["vehicles_total"] == 3
-    assert report["cycles"] > 0
-    assert report["plan_ms_mean"] > 0.0
-    assert report["plan_ms_max"] >= report["plan_ms_mean"]
-    assert json.loads(capsys.readouterr().out) == report
-
-
 def test_bench_added_vehicles_are_seeded_deterministically(scenario_path):
     from crossplan import load_scenario
     sc = load_scenario(scenario_path)

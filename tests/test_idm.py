@@ -9,15 +9,17 @@ from crossplan import (
     IdmParams,
     LongState,
     LongTrajectory,
+    Polyline,
+    Route,
     SpeedProfile,
     idm_acceleration,
     rollout,
     target_speed_profile,
 )
 from crossplan.errors import HorizonMismatch, NonPositiveGap
-from crossplan.idm import HARD_DECEL, VEHICLE_LENGTH
+from crossplan.idm import HARD_DECEL, VEHICLE_LENGTH, route_profile
 
-from scenes import circle_route, line_route
+from scenes import circle_route, line_route, merge_scenario, t_junction_scenario
 
 
 def reference_acceleration(v, v0, gap, dv, p):
@@ -161,17 +163,21 @@ def test_curvature_limits_target_speed_profile():
     assert target_speed_profile(straight, 20.0).v_at(100.0) == pytest.approx(20.0)
 
 
-def test_speed_profile_backward_pass_bounds_deceleration():
-    # straight approach into a tight curve: braking spread over the approach
-    decel = 4.0
+def bend_route():
+    """Straight approach into a tight curve."""
     theta = np.linspace(0.0, np.pi / 2, 60)
     curve = np.stack([8.0 * np.sin(theta), 8.0 * (1.0 - np.cos(theta))],
                      axis=1)
     approach = np.stack([np.linspace(-150.0, -1.0, 100),
                          np.zeros(100)], axis=1)
-    from crossplan import Polyline, Route
-    route = Route(id="r", centerline=Polyline(np.vstack([approach, curve])),
-                  speed_limit=20.0, intersection_start=None)
+    return Route(id="r", centerline=Polyline(np.vstack([approach, curve])),
+                 speed_limit=20.0, intersection_start=None)
+
+
+def test_speed_profile_backward_pass_bounds_deceleration():
+    # braking for the curve is spread over the approach
+    decel = 4.0
+    route = bend_route()
     profile = target_speed_profile(route, 20.0, decel=decel)
     # measure on the profile's own grid; v is piecewise linear between nodes
     s = profile.s0_grid + profile.ds * np.arange(len(profile.v))
@@ -179,3 +185,45 @@ def test_speed_profile_backward_pass_bounds_deceleration():
     rate = np.diff(v ** 2) / (2.0 * profile.ds)
     assert rate.min() >= -decel - 1e-6
     assert v.min() < 5.0  # the curve forces real braking
+
+
+def capped_profile_loop(route, v_limit, a_lat_max, decel):
+    """The backward pass run on speeds already capped at the limit."""
+    n = max(int(math.ceil(route.length / 0.5)) + 1, 2)
+    s = np.linspace(0.0, route.length, n)
+    ds = s[1] - s[0]
+    kappa = np.abs([route.centerline.curvature_at(si) for si in s])
+    v = np.minimum(v_limit, np.sqrt(a_lat_max / np.maximum(kappa, 1e-6)))
+    for i in range(n - 2, -1, -1):
+        v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * decel * ds))
+    return float(ds), v
+
+
+@pytest.mark.parametrize("route", [
+    circle_route("c", 30.0),
+    bend_route(),
+    merge_scenario().ego_route,
+    t_junction_scenario().ego_route,
+], ids=["circle", "bend", "merge_rural_ego", "t_junction_ego"])
+@pytest.mark.parametrize("a_lat_max, decel", [(2.0, 4.0), (1.0, 2.5)])
+def test_capping_the_curve_limit_equals_the_capped_backward_pass(
+        route, a_lat_max, decel):
+    _, uncapped = capped_profile_loop(route, math.inf, a_lat_max, decel)
+    lo, hi = float(uncapped.min()), float(uncapped.max())
+    limits = [0.5 * lo, lo, 0.5 * (lo + hi), hi, 2.0 * hi, 0.1, math.inf,
+              route.speed_limit]
+    for v_limit in limits:
+        ds, want = capped_profile_loop(route, v_limit, a_lat_max, decel)
+        profile = target_speed_profile(route, v_limit, a_lat_max=a_lat_max,
+                                       decel=decel)
+        assert profile.s0_grid == 0.0
+        assert profile.ds == ds
+        assert np.array_equal(profile.v, want), v_limit
+
+
+def test_route_profile_is_one_shared_object_per_route():
+    route = merge_scenario().ego_route
+    profile = route_profile(route)
+    assert route_profile(route) is profile
+    assert np.array_equal(
+        profile.v, target_speed_profile(route, route.speed_limit).v)

@@ -38,7 +38,8 @@ def test_route_belief_matches_gaussian_oracle():
                  if _distance_to(r, position) < 10.0]
         if not cands:
             continue
-        got = route_belief(position, heading, cands, params)
+        poses = {r.id: project_to_route(position, heading, r) for r in cands}
+        got = route_belief(poses, params)
         logs = {}
         for r in cands:
             pose = project_to_route(position, heading, r)
@@ -60,15 +61,20 @@ def _distance_to(route, position):
 
 def test_route_belief_requires_candidates():
     with pytest.raises(NoCandidateRoute):
-        route_belief(np.array([0.0, 0.0]), 0.0, [])
+        route_belief({})
 
 
 def test_candidate_routes_by_corridor():
     route = T_JUNCTION.routes["north"]
     on = VehicleState("a", route.centerline.point_at(100.0), math.pi / 2, 5.0)
     far = VehicleState("b", np.array([500.0, 500.0]), 0.0, 5.0)
-    assert any(r.id == "north" for r in candidate_routes(on, T_JUNCTION))
-    assert candidate_routes(far, T_JUNCTION) == []
+    cands = candidate_routes(on, T_JUNCTION)
+    assert "north" in cands
+    assert list(cands) == sorted(cands)
+    for rid, pose in cands.items():
+        assert pose == project_to_route(on.position, on.heading,
+                                        T_JUNCTION.routes[rid])
+    assert candidate_routes(far, T_JUNCTION) == {}
 
 
 @pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
