@@ -13,7 +13,7 @@ from .behavior import FREE, MERGE, STOP, BehaviorKind, BehaviorOption
 from .errors import LengthMismatch, NoOption
 from .geometry import ConflictZone, Route, RouteGraph
 from .idm import (IdmParams, LongTrajectory, VEHICLE_LENGTH, rollout)
-from .prediction import Hypothesis, PredictorParams
+from .prediction import Hypothesis
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,25 @@ nonlinear program penalizing spatial deviation, acceleration, jerk and snap
 subject to an absolute-acceleration constraint.
 
 The cost is an exact quadratic form, so the unconstrained minimizer comes
-from a linear solve; when acceleration constraints activate, the (convex)
-problem is handed to an SQP solver with analytic gradients.
+from a linear solve. When the acceleration constraint activates, the
+(convex) problem goes to SQP (SLSQP) in whitened coordinates: the free
+positions are the unconstrained optimum plus s L^-T z, where Q_ff = L L^T
+is the cached Cholesky factor of the cost's free-free block and s a scalar,
+so the objective is z.z and the quasi-Newton model starts from the exact
+Hessian. The cost is evaluated in residual form (positions differenced
+first, squared after), so it stays accurate far from the origin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import solve_triangular
 
-from .errors import SOutOfRange, TooShort
+from .errors import TooShort
 from .geometry import Route, arc_to_cartesian
 from .idm import LongTrajectory
 
@@ -72,6 +76,12 @@ class NlpResult:
     iterations: int
     cost: float
     max_violation: float  # of ||a||^2 - a_max^2, m^2/s^4
+    # how the solve ended: "closed_form" (the unconstrained optimum is
+    # feasible), "converged", "braking_bypass" (emergency braking, smoothed
+    # only), "not_converged" (SLSQP stopped short; see `message`) or
+    # "reference_fallback" (SLSQP's result was worse than the reference)
+    status: str
+    message: str = ""  # SLSQP's exit code and message, when it ran
 
 
 def reference_to_cartesian(reference: LongTrajectory, route: Route,
@@ -85,19 +95,14 @@ def reference_to_cartesian(reference: LongTrajectory, route: Route,
 
 
 @lru_cache(maxsize=16)
-def _cost_matrices(n: int, dt: float, w_spatial: float, w_acc: float,
-                   w_jerk: float, w_snap: float):
-    """Q such that J = sum_dim x_d^T Q x_d - 2 b_d^T x_d + const, with
-    b_d = w_spatial * S * ref_d.
+def _stencils(n: int, dt: float):
+    """Acceleration, jerk and snap stencil matrices over all n positions.
 
-    Stencils: acc (1,-2,1)/dt^2 at n=4..N-2; jerk (-1,2,0,-2,1)/(2 dt^3)
-    and snap (1,-4,6,-4,1)/dt^4 at n=4..N-3 (both need x_{n+2}).
+    acc (1,-2,1)/dt^2 at n=4..N-2; jerk (-1,2,0,-2,1)/(2 dt^3) and snap
+    (1,-4,6,-4,1)/dt^4 at n=4..N-3 (both need x_{n+2}).
     """
     if n < 8:
         raise TooShort("need at least 8 samples")
-    S = np.zeros((n, n))
-    for i in range(N_FIXED, n):
-        S[i, i] = 1.0
     D_acc = np.zeros((n - 1 - N_FIXED, n))
     for r, i in enumerate(range(N_FIXED, n - 1)):
         D_acc[r, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / dt**2
@@ -107,32 +112,74 @@ def _cost_matrices(n: int, dt: float, w_spatial: float, w_acc: float,
     for r, i in enumerate(rows_hi):
         D_jerk[r, i - 2:i + 3] = np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / (2.0 * dt**3)
         D_snap[r, i - 2:i + 3] = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dt**4
+    return D_acc, D_jerk, D_snap
+
+
+@lru_cache(maxsize=16)
+def _cost_matrices(n: int, dt: float, w_spatial: float, w_acc: float,
+                   w_jerk: float, w_snap: float):
+    """Q such that J = sum_dim x_d^T Q x_d - 2 b_d^T x_d + const, with
+    b_d = w_spatial * S * ref_d."""
+    D_acc, D_jerk, D_snap = _stencils(n, dt)
+    S = np.zeros((n, n))
+    for i in range(N_FIXED, n):
+        S[i, i] = 1.0
     Q = (w_spatial * S + w_acc * D_acc.T @ D_acc
          + w_jerk * D_jerk.T @ D_jerk + w_snap * D_snap.T @ D_snap)
     return Q, S
 
 
+@lru_cache(maxsize=16)
+def _whitening(n: int, dt: float, w_spatial: float, w_acc: float,
+               w_jerk: float, w_snap: float):
+    """(L^-T, M) with Q_ff = L L^T the free-free block of Q and
+    M = D_acc_f L^-T, the map from whitened free variables to the
+    accelerations at the constrained centres."""
+    Q, _ = _cost_matrices(n, dt, w_spatial, w_acc, w_jerk, w_snap)
+    L = np.linalg.cholesky(Q[N_FIXED:, N_FIXED:])
+    Linv_T = solve_triangular(L, np.eye(n - N_FIXED), lower=True).T
+    M = _stencils(n, dt)[0][:, N_FIXED:] @ Linv_T
+    return Linv_T, M
+
+
+def _residuals(x: np.ndarray, dt: float):
+    """Acceleration, jerk and snap residuals at their stencil centres, from
+    repeated differences of the positions: differencing before scaling and
+    squaring keeps them exact to rounding of the differences, wherever the
+    trajectory lies."""
+    n = len(x)
+    d2 = np.diff(x, n=2, axis=0)  # d2[k] centred at k+1
+    d3 = np.diff(d2, axis=0)      # d3[k] centred at k+1.5
+    d4 = np.diff(d3, axis=0)      # d4[k] centred at k+2
+    acc = d2[N_FIXED - 1:n - 2] / dt**2
+    jerk = (d3[2:n - 4] + d3[3:n - 3]) / (2.0 * dt**3)
+    snap = d4[2:n - 4] / dt**4
+    return acc, jerk, snap
+
+
 def assemble_cost(positions: np.ndarray, reference: np.ndarray,
                   weights: OptimizerWeights, dt: float):
     """Cost and analytic gradient (w.r.t. every position, fixed ones
-    included; the solver masks the first four)."""
+    included; the solver masks the first four), as weighted sums of squared
+    stencil residuals."""
     x = np.asarray(positions, dtype=float)
     ref = np.asarray(reference, dtype=float)
     n = len(x)
     if n < 8:
         raise TooShort("need at least 8 samples")
-    Q, S = _cost_matrices(n, dt, weights.w_spatial, weights.w_acc,
-                          weights.w_jerk, weights.w_snap)
-    cost = 0.0
-    grad = np.empty_like(x)
-    for dim in range(2):
-        xd = x[:, dim]
-        rd = ref[:, dim]
-        b = weights.w_spatial * (S @ rd)
-        cost += float(xd @ (Q @ xd) - 2.0 * b @ xd
-                      + weights.w_spatial * rd @ (S @ rd))
-        grad[:, dim] = 2.0 * (Q @ xd - b)
-    return cost, grad
+    dev = x[N_FIXED:] - ref[N_FIXED:]
+    cost = weights.w_spatial * float((dev**2).sum())
+    # The gradient is Q x - b summed in the order of Q's terms, with the
+    # reference subtracted last: gradient differences then give back 2 Q to
+    # the bit, the matrix that the closed form solves with.
+    half_grad = np.zeros_like(x)
+    half_grad[N_FIXED:] = weights.w_spatial * x[N_FIXED:]
+    for w, D, r in zip((weights.w_acc, weights.w_jerk, weights.w_snap),
+                       _stencils(n, dt), _residuals(x, dt)):
+        cost += w * float((r**2).sum())
+        half_grad = half_grad + (w * D.T) @ r
+    half_grad[N_FIXED:] -= weights.w_spatial * ref[N_FIXED:]
+    return cost, 2.0 * half_grad
 
 
 def _accel_rows(x: np.ndarray, dt: float) -> np.ndarray:
@@ -146,8 +193,15 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     """Minimize the comfort cost over the free positions subject to
     ||a_n|| <= a_max, keeping the four-point prefix bitwise fixed.
 
-    The unconstrained quadratic optimum is computed first; SQP (SLSQP) runs
-    only when it violates the acceleration constraint.
+    The unconstrained quadratic optimum x* is computed first; SQP (SLSQP)
+    runs only when it violates the acceleration constraint. SLSQP works on
+    whitened variables z, with free positions x* + s L^-T z (Q_ff = L L^T):
+    the objective is z.z (the cost above J(x*), over s^2), the accelerations
+    are affine in z, and the start z = 0 is x* itself.
+
+    `status` on the result says how the solve ended; `converged` is true
+    for "closed_form" and for "converged" (SLSQP succeeded and the result
+    is feasible to 1e-6 m^2/s^4).
     """
     ref = np.array(reference.positions, dtype=float)
     prefix = np.asarray(prefix, dtype=float)
@@ -155,8 +209,8 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
         raise ValueError("prefix must be 4 positions")
     n = len(ref)
     dt = reference.dt
-    Q, S = _cost_matrices(n, dt, weights.w_spatial, weights.w_acc,
-                          weights.w_jerk, weights.w_snap)
+    wkey = (weights.w_spatial, weights.w_acc, weights.w_jerk, weights.w_snap)
+    Q, S = _cost_matrices(n, dt, *wkey)
     free = slice(N_FIXED, n)
     Qff = Q[free, free]
     Qfc = Q[free, :N_FIXED]
@@ -171,11 +225,11 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
 
     a2max = weights.a_max**2
     viol = _max_violation(x, dt, a2max)
+    cost, _ = assemble_cost(x, ref, weights, dt)
     if viol <= 1e-9:
-        cost, _ = assemble_cost(x, ref, weights, dt)
         return NlpResult(CartesianTrajectory(x, dt=dt, t0=reference.t0),
                          converged=True, iterations=1, cost=cost,
-                         max_violation=max(viol, 0.0))
+                         max_violation=max(viol, 0.0), status="closed_form")
 
     # Emergency braking: car following decelerates up to HARD_DECEL to keep
     # the gap, deliberately above the comfort limit. Forcing ||a|| <= a_max
@@ -189,61 +243,58 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
     tangential = (a_mid * v_mid).sum(axis=1) / speed
     if float(tangential.min()) < -(weights.a_max + 0.25):
-        cost, _ = assemble_cost(x, ref, weights, dt)
         return NlpResult(CartesianTrajectory(x, dt=dt, t0=reference.t0),
                          converged=False, iterations=1, cost=cost,
-                         max_violation=max(viol, 0.0))
+                         max_violation=max(viol, 0.0),
+                         status="braking_bypass")
 
-    def fun(z):
-        xx = _full(z)
-        c, g = assemble_cost(xx, ref, weights, dt)
-        return c, g[N_FIXED:].ravel()
+    # The free positions are x* + s L^-T z, so the cost is J(x*) + s^2 z.z.
+    # s^2 is the reference's excess cost over x* (at least 1), the most the
+    # guard below accepts: z.z <= 1 on every result it keeps, and SLSQP's
+    # absolute ftol acts relative to that budget. With s = 1, corner
+    # problems whose excess runs into the thousands end in exit mode 8
+    # (line search) instead of converging.
+    cost_ref, _ = assemble_cost(x_ref, ref, weights, dt)
+    scale = np.sqrt(max(cost_ref - cost, 1.0))
+    Linv_T, M = _whitening(n, dt, *wkey)
+    M = scale * M
+    a_opt = _accel_rows(x, dt)
+
+    # z holds the free points' (z_x, z_y) pairs in storage order
+    def accel(z):
+        return a_opt + M @ z.reshape(-1, 2)
 
     def cons_f(z):
-        xx = _full(z)
-        a = _accel_rows(xx, dt)
-        return a2max - (a**2).sum(axis=1)
+        return a2max - (accel(z)**2).sum(axis=1)
 
     def cons_jac(z):
-        xx = _full(z)
-        a = _accel_rows(xx, dt)
-        m = len(a)
-        jac = np.zeros((m, n, 2))
-        coef = 1.0 / dt**2
-        for r in range(m):
-            i = r + N_FIXED  # constraint at a_i, touches x_{i-1}, x_i, x_{i+1}
-            jac[r, i - 1] += -2.0 * a[r] * coef
-            jac[r, i] += 4.0 * a[r] * coef
-            jac[r, i + 1] += -2.0 * a[r] * coef
-        return jac[:, N_FIXED:, :].reshape(m, -1)
+        a = accel(z)
+        return -2.0 * (M[:, :, None] * a[:, None, :]).reshape(len(a), -1)
 
-    def _full(z):
-        xx = np.empty((n, 2))
-        xx[:N_FIXED] = prefix
-        xx[N_FIXED:] = z.reshape(-1, 2)
-        return xx
-
-    # start from the reference (a feasible-ish, meaningful initial guess)
-    z0 = x[N_FIXED:].ravel()
     res = optimize.minimize(
-        fun, z0, jac=True, method="SLSQP",
+        lambda z: (z @ z, 2.0 * z), np.zeros(2 * (n - N_FIXED)), jac=True,
+        method="SLSQP",
         constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
         options={"maxiter": max_iter, "ftol": 1e-9})
-    x_out = _full(res.x)
+    x_out = x.copy()
+    x_out[N_FIXED:] += scale * (Linv_T @ res.x.reshape(-1, 2))
     cost_out, _ = assemble_cost(x_out, ref, weights, dt)
+    message = f"SLSQP exit {res.status}: {res.message}"
 
     # never return something worse than the plain reference
-    cost_ref, _ = assemble_cost(x_ref, ref, weights, dt)
     if (not np.all(np.isfinite(x_out))) or cost_out > cost_ref + 1e-9:
         viol_ref = _max_violation(x_ref, dt, a2max)
         return NlpResult(CartesianTrajectory(x_ref, dt=dt, t0=reference.t0),
                          converged=False, iterations=int(res.nit),
-                         cost=cost_ref, max_violation=max(viol_ref, 0.0))
+                         cost=cost_ref, max_violation=max(viol_ref, 0.0),
+                         status="reference_fallback", message=message)
     viol_out = _max_violation(x_out, dt, a2max)
     converged = bool(res.success) and viol_out <= 1e-6
     return NlpResult(CartesianTrajectory(x_out, dt=dt, t0=reference.t0),
                      converged=converged, iterations=int(res.nit),
-                     cost=cost_out, max_violation=max(viol_out, 0.0))
+                     cost=cost_out, max_violation=max(viol_out, 0.0),
+                     status="converged" if converged else "not_converged",
+                     message=message)
 
 
 def _max_violation(x: np.ndarray, dt: float, a2max: float) -> float:

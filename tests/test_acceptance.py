@@ -3,18 +3,15 @@
 Each test covers one numbered criterion and prints a single PASS/FAIL line.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from crossplan import (
     CartesianTrajectory,
     IdmParams,
     LongState,
     LongTrajectory,
-    OptimizerWeights,
     SimConfig,
     SpeedProfile,
     build_virtual_leader,
