@@ -59,8 +59,7 @@ def progress_cost(reference: LongTrajectory,
 def merge_courtesy(option: BehaviorOption, follower: Hypothesis,
                    ego_route: Route, zone: ConflictZone, same_as_last: bool,
                    idm_params: IdmParams = IdmParams(),
-                   params: ArbiterParams = ArbiterParams(),
-                   vehicle_length: float = VEHICLE_LENGTH) -> float:
+                   params: ArbiterParams = ArbiterParams()) -> float:
     """Predicted disturbance of a merging-route follower: mean |a - a_react|
     minus the hysteresis bias; infinite above the disturbance limit.
 
@@ -82,7 +81,7 @@ def merge_courtesy(option: BehaviorOption, follower: Hypothesis,
             if margin + h < params.dt_max:
                 return math.inf
     delta_a = _follower_disturbance(option, follower, ego_route, zone,
-                                    idm_params, vehicle_length)
+                                    idm_params)
     if delta_a <= 0.0:
         return 0.0
     h_a = params.h_a_const if same_as_last else -params.h_a_const
@@ -92,8 +91,7 @@ def merge_courtesy(option: BehaviorOption, follower: Hypothesis,
 
 def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
                           ego_route: Route, zone: ConflictZone,
-                          idm_params: IdmParams,
-                          vehicle_length: float) -> float:
+                          idm_params: IdmParams) -> float:
     ref = option.reference
     s_m_ego = zone.start[ego_route.id]
     s_m_f = zone.start[follower.route_id]
@@ -106,8 +104,8 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
     ego_s_mapped = np.full(n, np.inf)
     ego_s_mapped[enter:] = s_m_f + (ref.s[enter:] - s_m_ego)
     f_traj = follower.trajectory
-    gap_ahead = (float(f_traj.s[enter]) - 0.5 * vehicle_length
-                 - float(ego_s_mapped[enter]) - 0.5 * vehicle_length)
+    gap_ahead = (float(f_traj.s[enter]) - 0.5 * VEHICLE_LENGTH
+                 - float(ego_s_mapped[enter]) - 0.5 * VEHICLE_LENGTH)
     if gap_ahead >= 0.0:
         # The other vehicle is ahead at entry: the ego merges behind it.
         # Entering closer than the desired following gap is not a safe
@@ -123,7 +121,7 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
     # far-gap shortcut: evaluate the IDM interaction term along the
     # unperturbed follower plan; when it never exceeds 0.01 m/s^2 the
     # reaction equals the plan and the disturbance is negligible
-    gaps = ego_s_mapped[enter:] - f_traj.s[enter:] - vehicle_length
+    gaps = ego_s_mapped[enter:] - f_traj.s[enter:] - VEHICLE_LENGTH
     vf = f_traj.v[enter:]
     dv = vf - ref.v[enter:]
     idm = idm_params
@@ -136,7 +134,7 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
     react = rollout(follower.start, follower.profile,
                     leader=_min_leader(follower.leader, ego_as_leader),
                     stop_at=follower.stop_at, n=n, dt=ref.dt, t0=ref.t0,
-                    params=idm_params, vehicle_length=vehicle_length)
+                    params=idm_params)
     a_plan = follower.trajectory.accelerations()
     a_react = react.accelerations()
     return float(np.mean(np.abs(a_plan - a_react)))
@@ -157,8 +155,7 @@ def _min_leader(a: Optional[LongTrajectory],
 def crossing_courtesy(option: BehaviorOption, crosser: Hypothesis,
                       ego_route: Route, zone: ConflictZone,
                       same_as_last: bool,
-                      params: ArbiterParams = ArbiterParams(),
-                      vehicle_length: float = VEHICLE_LENGTH) -> float:
+                      params: ArbiterParams = ArbiterParams()) -> float:
     """0 when the temporal margin in the crossing zone is large enough in
     either passing order, infinite otherwise."""
     if zone.kind != "crossing":
@@ -166,7 +163,7 @@ def crossing_courtesy(option: BehaviorOption, crosser: Hypothesis,
     ref = option.reference
     lo_e, hi_e = zone.interval(ego_route.id)
     lo_c, hi_c = zone.interval(crosser.route_id)
-    half = 0.5 * vehicle_length
+    half = 0.5 * VEHICLE_LENGTH
     t = _zone_times(ref, lo_e - half, hi_e + half)
     if t is None:
         return 0.0  # ego never enters the zone: maximally passive
@@ -197,8 +194,7 @@ def score_options(options: list[BehaviorOption],
                   ego_route: Route, graph: RouteGraph,
                   last_kind: Optional[BehaviorKind] = None,
                   idm_params: IdmParams = IdmParams(),
-                  params: ArbiterParams = ArbiterParams(),
-                  vehicle_length: float = VEHICLE_LENGTH) -> list[ScoredOption]:
+                  params: ArbiterParams = ArbiterParams()) -> list[ScoredOption]:
     """Cost every option: w_p * progress + w_c * sum_i sum_k P * courtesy.
 
     Options that make less initial progress than the stop baseline are
@@ -226,10 +222,10 @@ def score_options(options: list[BehaviorOption],
                     term = 0.0  # the stop option never enters the conflict
                 elif zone.kind == "merging":
                     term = merge_courtesy(opt, hyp, ego_route, zone, same,
-                                          idm_params, params, vehicle_length)
+                                          idm_params, params)
                 else:
                     term = crossing_courtesy(opt, hyp, ego_route, zone, same,
-                                             params, vehicle_length)
+                                             params)
                 terms[(vid, k)] = term
                 c_c += hyp.probability * term
         total = params.w_p * c_p + params.w_c * c_c

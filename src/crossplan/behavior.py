@@ -136,7 +136,6 @@ def generate_options(ego: LongState, ego_route: Route,
                      idm_params: IdmParams = IdmParams(),
                      pred_params: PredictorParams = PredictorParams(),
                      n_ref: int = N_REF, dt: float = DT, t0: float = 0.0,
-                     vehicle_length: float = VEHICLE_LENGTH,
                      include_merge: bool = True) -> list[BehaviorOption]:
     """Enumerate ego behavior options with N_ref-sample references."""
     if ego_route is None:
@@ -147,14 +146,13 @@ def generate_options(ego: LongState, ego_route: Route,
     leader = _ego_route_leader(ego, ego_route.id, predictions, pred_params,
                                n_ref)
     free_ref = rollout(ego, profile, leader=leader, n=n_ref, dt=dt, t0=t0,
-                       params=idm_params, vehicle_length=vehicle_length)
+                       params=idm_params)
     options.append(BehaviorOption(kind=BehaviorKind(FREE), reference=free_ref))
 
     s_stop = ego_route.intersection_start
-    if s_stop is not None and ego.s + 0.5 * vehicle_length < s_stop:
+    if s_stop is not None and ego.s + 0.5 * VEHICLE_LENGTH < s_stop:
         stop_ref = rollout(ego, profile, leader=leader, stop_at=s_stop,
-                           n=n_ref, dt=dt, t0=t0, params=idm_params,
-                           vehicle_length=vehicle_length)
+                           n=n_ref, dt=dt, t0=t0, params=idm_params)
         options.append(BehaviorOption(kind=BehaviorKind(STOP),
                                       reference=stop_ref))
 
@@ -175,8 +173,7 @@ def generate_options(ego: LongState, ego_route: Route,
                 if vl is None:
                     continue
                 ref = rollout(ego, profile, leader=vl.trajectory, n=n_ref,
-                              dt=dt, t0=t0, params=idm_params,
-                              vehicle_length=vehicle_length)
+                              dt=dt, t0=t0, params=idm_params)
                 merges.append(BehaviorOption(
                     kind=BehaviorKind(MERGE, target_vehicle=vid,
                                       hypothesis_index=h_idx),

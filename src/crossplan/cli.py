@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PlanningError, ScenarioError
-from .scenario import Scenario, VehicleSpec, load_scenario
+from .scenario import Scenario, load_scenario
 from .simloop import SimConfig, TraceRecord, collision_check, run
 
 EXIT_OK = 0
@@ -123,25 +123,6 @@ def _summarize(trace: list[TraceRecord], scenario: Scenario) -> dict:
         "plan_ms_p95": float(np.percentile(plan_ms, 95)) if len(plan_ms) else 0.0,
         "plan_ms_max": float(plan_ms.max()) if len(plan_ms) else 0.0,
     }
-
-
-def add_random_vehicles(scenario: Scenario, count: int) -> Scenario:
-    """Seeded placement of extra double-integrator vehicles."""
-    if count <= 0:
-        return scenario
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0xBE]))
-    rids = sorted(scenario.graph.routes)
-    vehicles = list(scenario.vehicles)
-    for i in range(count):
-        rid = rids[int(rng.integers(len(rids)))]
-        route = scenario.graph.routes[rid]
-        vehicles.append(VehicleSpec(
-            id=f"bench{i}",
-            route_id=rid,
-            s=float(rng.uniform(0.0, 0.6 * route.length)),
-            v=float(rng.uniform(0.4, 0.9) * route.speed_limit)))
-    out = Scenario(**{**scenario.__dict__, "vehicles": vehicles})
-    return out
 
 
 if __name__ == "__main__":

@@ -1,88 +1,79 @@
-"""One place for every tunable parameter, overridable by key."""
+"""One place for every tunable parameter, overridable by key.
+
+Each layer's parameters live in that layer's dataclass; `PlannerParams`
+composes them and owns only the horizons, the replanning period and the
+merge-option switch. An override key names a field of exactly one of them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .arbiter import ArbiterParams
-from .idm import IdmParams, VEHICLE_LENGTH
-from .optimizer import OptimizerWeights
+from .behavior import N_REF
+from .idm import IdmParams
+from .optimizer import N_OPT, OptimizerWeights
 from .prediction import PredictorParams
 
 
 @dataclass(frozen=True)
 class PlannerParams:
-    # IDM
-    a_idm: float = 2.0
-    b: float = 4.0
-    s0: float = 4.0
-    T: float = 2.5
-    delta: float = 4.0
-    # prediction
-    sigma_phi: float = 0.1
-    sigma_d: float = 0.1
-    delta_r: float = 0.1
-    dt_inter: float = 3.0
-    lambda1: float = 0.55
-    lambda2: float = 1.0
-    lambda3: float = 0.75
-    # arbitration
-    w_p: float = 1.0
-    w_c: float = 1.0
-    h_a_const: float = 0.25
-    h_ttc_const: float = 0.25
-    da_max: float = 0.9
-    dt_max: float = 1.0
-    # optimization
-    w_spatial: float = 1.0
-    w_acc: float = 0.1
-    w_jerk: float = 0.1
-    w_snap: float = 0.1
-    a_max: float = 5.0
-    # horizons and grids
-    n_ref: int = 201
-    n_opt: int = 60
-    dt: float = 0.05
+    idm: IdmParams = field(default_factory=IdmParams)
+    predictor: PredictorParams = field(default_factory=PredictorParams)
+    arbiter: ArbiterParams = field(default_factory=ArbiterParams)
+    optimizer: OptimizerWeights = field(default_factory=OptimizerWeights)
+    # horizons (samples of the simulation step) and replanning period
+    n_ref: int = N_REF
+    n_opt: int = N_OPT
     dt_replan: float = 0.2
-    vehicle_length: float = VEHICLE_LENGTH
     use_virtual_leader: bool = True
 
-    def idm(self) -> IdmParams:
-        return IdmParams(a_idm=self.a_idm, b=self.b, s0=self.s0, T=self.T,
-                         delta=self.delta)
-
-    def predictor(self) -> PredictorParams:
-        return PredictorParams(sigma_phi=self.sigma_phi, sigma_d=self.sigma_d,
-                               delta_r=self.delta_r, dt_inter=self.dt_inter,
-                               lambda1=self.lambda1, lambda2=self.lambda2,
-                               lambda3=self.lambda3)
-
-    def arbiter(self) -> ArbiterParams:
-        return ArbiterParams(w_p=self.w_p, w_c=self.w_c,
-                             h_a_const=self.h_a_const,
-                             h_ttc_const=self.h_ttc_const,
-                             da_max=self.da_max, dt_max=self.dt_max)
-
-    def optimizer(self) -> OptimizerWeights:
-        return OptimizerWeights(w_spatial=self.w_spatial, w_acc=self.w_acc,
-                                w_jerk=self.w_jerk, w_snap=self.w_snap,
-                                a_max=self.a_max)
+    def __post_init__(self):
+        if self.n_opt < 8:
+            raise ValueError("n_opt must be >= 8 (stencil minimum)")
+        if self.n_ref < self.n_opt - 3:
+            raise ValueError("n_ref must be >= n_opt - 3 so the reference "
+                             "covers every optimized sample")
+        if self.dt_replan <= 0:
+            raise ValueError("dt_replan must be positive")
 
     def with_overrides(self, overrides: dict) -> "PlannerParams":
-        """Apply key=value overrides; unknown keys raise ValueError."""
-        known = {f.name: f.type for f in fields(self)}
-        clean = {}
+        """Apply key=value overrides, each to the dataclass that owns the
+        key; unknown keys raise ValueError."""
+        owners = _owners(self)
+        changes: dict = {}  # owning field (None: this object) -> {key: value}
         for key, value in overrides.items():
-            if key not in known:
+            if key not in owners:
                 raise ValueError(f"unknown parameter {key!r}")
-            current = getattr(self, key)
-            if isinstance(current, bool):
-                clean[key] = _as_bool(value)
-            elif isinstance(current, int):
-                clean[key] = int(value)
-            else:
-                clean[key] = float(value)
-        return replace(self, **clean)
+            owner = owners[key]
+            target = self if owner is None else getattr(self, owner)
+            changes.setdefault(owner, {})[key] = _coerce(getattr(target, key),
+                                                         value)
+        own = changes.pop(None, {})
+        for layer, clean in changes.items():
+            own[layer] = replace(getattr(self, layer), **clean)
+        return replace(self, **own)
+
+
+def _owners(params: PlannerParams) -> dict:
+    """Override key -> name of the layer field that owns it (None for the
+    planner's own fields)."""
+    owners = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if is_dataclass(value):
+            owners.update((g.name, f.name) for g in fields(value))
+        else:
+            owners[f.name] = None
+    return owners
+
+
+def _coerce(current, value):
+    if isinstance(current, bool):
+        return _as_bool(value)
+    if isinstance(current, int):
+        return int(value)
+    return float(value)
 
 
 def _as_bool(value) -> bool:

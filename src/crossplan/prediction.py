@@ -17,6 +17,7 @@ from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
 # corridor bounds that qualify a route as a candidate for a vehicle
 CANDIDATE_D_MAX = 3.0
 CANDIDATE_PHI_MAX = 0.6
+MERGE_ZONE_EXTENT = 15.0  # m, occupancy length past a merge point
 
 STOP = "stop"
 DRIVE = "drive"
@@ -31,7 +32,6 @@ class PredictorParams:
     lambda1: float = 0.55        # yield & prioritized traffic in conflict
     lambda2: float = 1.0         # yield & free intersection
     lambda3: float = 0.75        # has priority
-    merge_zone_extent: float = 15.0  # m, occupancy length past a merge point
 
     def __post_init__(self):
         if self.sigma_phi <= 0 or self.sigma_d <= 0:
@@ -114,16 +114,15 @@ def candidate_routes(vehicle: VehicleState,
     return out
 
 
-def _occupancy_window(traj: LongTrajectory, zone, route_id: str,
-                      extent: float, vehicle_length: float = VEHICLE_LENGTH):
+def _occupancy_window(traj: LongTrajectory, zone, route_id: str):
     """(t_in, t_out) during which a rollout occupies the conflict zone."""
     lo, hi = zone.interval(route_id)
     if zone.kind == "merging":
-        hi = lo + extent
-    enter = traj.first_index_reaching(lo - 0.5 * vehicle_length)
+        hi = lo + MERGE_ZONE_EXTENT
+    enter = traj.first_index_reaching(lo - 0.5 * VEHICLE_LENGTH)
     if enter is None:
         return None
-    leave = traj.first_index_reaching(hi + 0.5 * vehicle_length)
+    leave = traj.first_index_reaching(hi + 0.5 * VEHICLE_LENGTH)
     t_in = traj.t0 + enter * traj.dt
     t_out = traj.t0 + (leave * traj.dt if leave is not None else traj.duration)
     return t_in, t_out
@@ -150,8 +149,7 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
         if arrive is None:
             continue
         t_arrive = drive_traj.t0 + arrive * drive_traj.dt
-        window = _occupancy_window(other_traj, zone, other_rid,
-                                   params.merge_zone_extent)
+        window = _occupancy_window(other_traj, zone, other_rid)
         if window is None:
             continue
         t_in, t_out = window
@@ -163,8 +161,7 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
 
 def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
             idm_params: IdmParams = IdmParams(),
-            params: PredictorParams = PredictorParams(),
-            vehicle_length: float = VEHICLE_LENGTH) -> dict[str, list[Hypothesis]]:
+            params: PredictorParams = PredictorParams()) -> dict[str, list[Hypothesis]]:
     """Hypothesis sets for every non-ego vehicle; probabilities sum to 1."""
     graph = scene.graph
     beliefs: dict[str, dict[str, float]] = {}
@@ -185,8 +182,7 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
         rid = max(beliefs[veh.id], key=lambda r: (beliefs[veh.id][r], r))
         route = graph.routes[rid]
         traj = rollout(poses[veh.id][rid], route_profile(route), n=n, dt=dt,
-                       t0=scene.time, params=idm_params,
-                       vehicle_length=vehicle_length)
+                       t0=scene.time, params=idm_params)
         base[veh.id] = (rid, traj)
 
     result: dict[str, list[Hypothesis]] = {}
@@ -204,8 +200,7 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
                                      poses, base, params.delta_r)
             profile = route_profile(route)
             drive_traj = rollout(start, profile, leader=leader, n=n, dt=dt,
-                                 t0=scene.time, params=idm_params,
-                                 vehicle_length=vehicle_length)
+                                 t0=scene.time, params=idm_params)
             prioritized = [base[o.id] for o in scene.others
                            if o.id != veh.id and o.id in base
                            and graph.has_priority_over(base[o.id][0], rid)]
@@ -217,12 +212,11 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
                 start=start))
             s_stop = route.intersection_start
             front_passed = (s_stop is None
-                            or start.s + 0.5 * vehicle_length >= s_stop)
+                            or start.s + 0.5 * VEHICLE_LENGTH >= s_stop)
             if not front_passed and p_drive < 1.0:
                 stop_traj = rollout(start, profile, leader=leader,
                                     stop_at=s_stop, n=n, dt=dt, t0=scene.time,
-                                    params=idm_params,
-                                    vehicle_length=vehicle_length)
+                                    params=idm_params)
                 hypotheses.append(Hypothesis(
                     route_id=rid, maneuver=STOP, trajectory=stop_traj,
                     probability=p_route * (1.0 - p_drive), leader=leader,

@@ -13,7 +13,7 @@ import numpy as np
 from . import arbiter, behavior, optimizer, prediction
 from .behavior import BehaviorKind
 from .geometry import Route, arc_to_cartesian, project_to_route
-from .idm import LongState
+from .idm import VEHICLE_LENGTH, LongState, idm_acceleration
 from .scenario import IDM_AGENT, Scenario
 from .prediction import SceneState, VehicleState
 
@@ -59,7 +59,6 @@ class _Agent:
     def step(self, dt: float, leader_gap: Optional[float] = None,
              leader_dv: float = 0.0, idm_params=None):
         if self.spec.agent == IDM_AGENT and idm_params is not None:
-            from .idm import idm_acceleration
             gap = leader_gap if leader_gap is not None and leader_gap > 0.1 else None
             a = idm_acceleration(self.v, self.route.speed_limit, gap,
                                  leader_dv if gap is not None else None,
@@ -92,10 +91,6 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
 
     graph = scenario.graph
     ego_route = scenario.ego_route
-    idm_params = params.idm()
-    pred_params = params.predictor()
-    arb_params = params.arbiter()
-    weights = params.optimizer()
     n_opt = params.n_opt
 
     seq = np.random.SeedSequence(seed)
@@ -119,8 +114,7 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
         if i % replan_every == 0 and i < steps:
             tic = _time.perf_counter()
             plan, last_kind, costs, last_converged = _replan(
-                plan, plan_idx, t, agents, scenario, graph, ego_route,
-                idm_params, pred_params, arb_params, weights, params,
+                plan, plan_idx, t, dt, agents, graph, ego_route, params,
                 last_kind)
             plan_idx = 3
             plan_ms = (_time.perf_counter() - tic) * 1e3
@@ -133,13 +127,13 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
 
         if i < steps:
             for agent in agents:
-                agent.step(dt, *_agent_leader(agent, agents, params),
-                           idm_params=idm_params)
+                agent.step(dt, *_agent_leader(agent, agents),
+                           idm_params=params.idm)
             plan_idx += 1
     return records
 
 
-def _agent_leader(agent: _Agent, agents: list[_Agent], params):
+def _agent_leader(agent: _Agent, agents: list[_Agent]):
     if agent.spec.agent != IDM_AGENT:
         return (None, 0.0)
     best_gap = None
@@ -147,16 +141,18 @@ def _agent_leader(agent: _Agent, agents: list[_Agent], params):
     for other in agents:
         if other is agent or other.route.id != agent.route.id:
             continue
-        gap = other.s - agent.s - params.vehicle_length
+        gap = other.s - agent.s - VEHICLE_LENGTH
         if gap > 0 and (best_gap is None or gap < best_gap):
             best_gap = gap
             best_dv = agent.v - other.v
     return (best_gap, best_dv)
 
 
-def _replan(plan, plan_idx, t, agents, scenario, graph, ego_route,
-            idm_params, pred_params, arb_params, weights, params, last_kind):
-    dt = params.dt
+def _replan(plan, plan_idx, t, dt, agents, graph, ego_route, params,
+            last_kind):
+    """One planning cycle on the simulation's time grid: `dt` is the step
+    of the executed plan and of every prediction and reference."""
+    idm_params = params.idm
     ego_pos = plan[plan_idx]
     v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * dt)
     speed = float(np.hypot(*v_vec))
@@ -171,17 +167,14 @@ def _replan(plan, plan_idx, t, agents, scenario, graph, ego_route,
                        graph=graph, time=t)
     predictions = prediction.predict(scene, n=params.n_ref, dt=dt,
                                      idm_params=idm_params,
-                                     params=pred_params,
-                                     vehicle_length=params.vehicle_length)
+                                     params=params.predictor)
     ego_long = LongState(pose.s, speed)
     options = behavior.generate_options(
-        ego_long, ego_route, predictions, graph, idm_params, pred_params,
+        ego_long, ego_route, predictions, graph, idm_params, params.predictor,
         n_ref=params.n_ref, dt=dt, t0=t,
-        vehicle_length=params.vehicle_length,
         include_merge=params.use_virtual_leader)
     scored = arbiter.score_options(options, predictions, ego_route, graph,
-                                   last_kind, idm_params, arb_params,
-                                   params.vehicle_length)
+                                   last_kind, idm_params, params.arbiter)
     selected = arbiter.select(scored, last_kind)
     costs = {str(s.option.kind): s.total for s in scored}
 
@@ -199,7 +192,7 @@ def _replan(plan, plan_idx, t, agents, scenario, graph, ego_route,
         ref_xy[n] = arc_to_cartesian(float(selected.reference.s[n - 3]),
                                      d0 * decay, ego_route, extrapolate=True)
     ref_traj = optimizer.CartesianTrajectory(ref_xy, dt=dt, t0=t - 3 * dt)
-    result = optimizer.solve(ref_traj, prefix, weights)
+    result = optimizer.solve(ref_traj, prefix, params.optimizer)
     return result.trajectory.positions, selected.kind, costs, result.converged
 
 
@@ -230,14 +223,13 @@ def collision_check(trace: list[TraceRecord], scenario: Scenario) -> list[dict]:
     occupancy of crossing conflict zones."""
     graph = scenario.graph
     ego_rid = scenario.ego_route_id
-    length = scenario.params.vehicle_length
     violations = []
     for tick, rec in enumerate(trace):
         for spec in scenario.vehicles:
             s_v, _ = rec.vehicles[spec.id]
             rid = spec.route_id
             if rid == ego_rid:
-                if abs(s_v - rec.ego_s) < length:
+                if abs(s_v - rec.ego_s) < VEHICLE_LENGTH:
                     violations.append({"tick": tick, "t": rec.t,
                                        "vehicle": spec.id, "kind": "same_lane"})
                 continue
@@ -247,14 +239,14 @@ def collision_check(trace: list[TraceRecord], scenario: Scenario) -> list[dict]:
             if zone.kind == "merging":
                 de = rec.ego_s - zone.start[ego_rid]
                 dv = s_v - zone.start[rid]
-                if de > 0 and dv > 0 and abs(de - dv) < length:
+                if de > 0 and dv > 0 and abs(de - dv) < VEHICLE_LENGTH:
                     violations.append({"tick": tick, "t": rec.t,
                                        "vehicle": spec.id,
                                        "kind": "shared_lane"})
             else:
                 lo_e, hi_e = zone.interval(ego_rid)
                 lo_v, hi_v = zone.interval(rid)
-                half = 0.5 * length
+                half = 0.5 * VEHICLE_LENGTH
                 ego_in = lo_e - half < rec.ego_s < hi_e + half
                 veh_in = lo_v - half < s_v < hi_v + half
                 if ego_in and veh_in:

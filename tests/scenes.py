@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,10 +12,13 @@ from crossplan import (
     Polyline,
     Route,
     RouteGraph,
+    Scenario,
     SceneState,
+    VehicleSpec,
     VehicleState,
     load_scenario,
 )
+from crossplan.idm import VEHICLE_LENGTH
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 MERGE_SCENARIO = SCENARIO_DIR / "merge_rural.json"
@@ -94,3 +98,22 @@ def tiny_scenario_dict(duration=2.0, vehicles=(), seed=3):
         "duration": duration,
         "seed": seed,
     }
+
+
+def add_random_vehicles(scenario: Scenario, count: int) -> Scenario:
+    """Seeded placement of extra double-integrator vehicles. On the ego's
+    route they start at least one vehicle length ahead of the ego."""
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0xBE]))
+    rids = sorted(scenario.graph.routes)
+    vehicles = list(scenario.vehicles)
+    for i in range(count):
+        rid = rids[int(rng.integers(len(rids)))]
+        route = scenario.graph.routes[rid]
+        lo = (scenario.ego_s + VEHICLE_LENGTH
+              if rid == scenario.ego_route_id else 0.0)
+        vehicles.append(VehicleSpec(
+            id=f"bench{i}",
+            route_id=rid,
+            s=float(rng.uniform(lo, max(lo, 0.6 * route.length))),
+            v=float(rng.uniform(0.4, 0.9) * route.speed_limit)))
+    return dataclasses.replace(scenario, vehicles=vehicles)

@@ -15,7 +15,6 @@ from crossplan import (
     SimConfig,
     SpeedProfile,
     build_virtual_leader,
-    cli,
     collision_check,
     load_scenario,
     predict,
@@ -31,6 +30,7 @@ import test_optimizer
 from scenes import (
     MERGE_SCENARIO,
     T_JUNCTION_SCENARIO,
+    add_random_vehicles,
     merge_graph,
     random_scene,
     t_junction_graph,
@@ -221,7 +221,7 @@ def test_criterion_6_t_junction_arbitration():
 
 
 def test_criterion_7_planning_cycle_runtime():
-    sc = cli.add_random_vehicles(load_scenario(MERGE_SCENARIO), 10)
+    sc = add_random_vehicles(load_scenario(MERGE_SCENARIO), 10)
     assert len(sc.vehicles) == 12  # plus the ego: 13 vehicles in the scene
     trace = run(sc, SimConfig())
     ms = [r.plan_ms for r in trace if r.plan_ms > 0.0]

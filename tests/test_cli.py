@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from crossplan import cli
+from crossplan import cli, load_scenario
 from crossplan.errors import PlanningError
+from crossplan.idm import VEHICLE_LENGTH
 
-from scenes import tiny_scenario_dict, write_scenario
+from scenes import (MERGE_SCENARIO, T_JUNCTION_SCENARIO, add_random_vehicles,
+                    tiny_scenario_dict, write_scenario)
 
 
 @pytest.fixture()
@@ -78,6 +80,27 @@ def test_set_flag_overrides_parameters(scenario_path, tmp_path, capsys):
                      "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("pair,why", [
+    ("a_idm=-1", "a_idm must be positive"),
+    ("n_opt=3", "n_opt must be >= 8"),
+    # the planning step is SimConfig.sim_step; the vehicle length is fixed
+    ("dt=0.1", "unknown parameter 'dt'"),
+    ("vehicle_length=4.0", "unknown parameter 'vehicle_length'"),
+])
+def test_bad_parameters_exit_with_code_two(scenario_path, tmp_path, capsys,
+                                           command, pair, why):
+    out = tmp_path / "t.csv"
+    args = [command, scenario_path, "--set", pair]
+    if command == "run":
+        args += ["--out", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert why in err
+    assert not out.exists()
+
+
 def test_planner_errors_exit_with_code_one(scenario_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise PlanningError("induced failure")
@@ -88,13 +111,22 @@ def test_planner_errors_exit_with_code_one(scenario_path, monkeypatch, capsys):
 
 
 def test_bench_added_vehicles_are_seeded_deterministically(scenario_path):
-    from crossplan import load_scenario
     sc = load_scenario(scenario_path)
-    a = cli.add_random_vehicles(sc, 5)
-    b = cli.add_random_vehicles(sc, 5)
+    a = add_random_vehicles(sc, 5)
+    b = add_random_vehicles(sc, 5)
     assert [(v.id, v.route_id, v.s, v.v) for v in a.vehicles] == \
         [(v.id, v.route_id, v.s, v.v) for v in b.vehicles]
     assert len(a.vehicles) == len(sc.vehicles) + 5
+
+
+@pytest.mark.parametrize("path", [MERGE_SCENARIO, T_JUNCTION_SCENARIO])
+@pytest.mark.parametrize("seed", range(6))
+def test_added_vehicles_start_ahead_of_the_ego_on_its_route(path, seed):
+    sc = add_random_vehicles(load_scenario(path, seed=seed), 10)
+    assert len(sc.vehicles) == len(load_scenario(path).vehicles) + 10
+    for v in sc.vehicles:
+        if v.route_id == sc.ego_route_id:
+            assert v.s >= sc.ego_s + VEHICLE_LENGTH, v
 
 
 def test_unknown_subcommand_is_rejected():

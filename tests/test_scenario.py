@@ -1,10 +1,13 @@
 """Planner parameters and scenario file parsing."""
 
 import copy
+from dataclasses import fields
 
 import pytest
 
-from crossplan import PlannerParams, load_scenario, scenario_from_dict
+from crossplan import (ArbiterParams, IdmParams, OptimizerWeights,
+                       PlannerParams, PredictorParams, load_scenario,
+                       scenario_from_dict)
 from crossplan.errors import ScenarioError
 from crossplan.scenario import DOUBLE_INTEGRATOR
 
@@ -15,10 +18,10 @@ def test_with_overrides_coerces_types():
     base = PlannerParams()
     p = base.with_overrides({"w_c": "4", "n_opt": "80",
                              "use_virtual_leader": "false"})
-    assert p.w_c == 4.0
+    assert p.arbiter.w_c == 4.0
     assert p.n_opt == 80
     assert p.use_virtual_leader is False
-    assert base.w_c == 1.0  # original untouched
+    assert base.arbiter.w_c == 1.0  # original untouched
 
 
 @pytest.mark.parametrize("text,value", [
@@ -35,13 +38,70 @@ def test_unknown_override_key_rejected():
         PlannerParams().with_overrides({"bogus": "1"})
 
 
-def test_param_factories_reflect_overrides():
+def test_layer_params_reflect_overrides():
     p = PlannerParams().with_overrides({"h_ttc_const": "0.6", "T": "2.0",
                                         "sigma_d": "0.2", "a_max": "4.0"})
-    assert p.arbiter().h_ttc_const == 0.6
-    assert p.idm().T == 2.0
-    assert p.predictor().sigma_d == 0.2
-    assert p.optimizer().a_max == 4.0
+    assert p.arbiter.h_ttc_const == 0.6
+    assert p.idm.T == 2.0
+    assert p.predictor.sigma_d == 0.2
+    assert p.optimizer.a_max == 4.0
+
+
+LAYERS = {"idm": IdmParams, "predictor": PredictorParams,
+          "arbiter": ArbiterParams, "optimizer": OptimizerWeights}
+OWN_KEYS = ["n_ref", "n_opt", "dt_replan", "use_virtual_leader"]
+
+
+def _override_keys():
+    """(key, owning layer or None) for every field an override can name."""
+    keys = [(f.name, layer) for layer, cls in LAYERS.items()
+            for f in fields(cls)]
+    return keys + [(k, None) for k in OWN_KEYS]
+
+
+def test_planner_params_compose_the_layer_params():
+    assert [f.name for f in fields(PlannerParams)] == [*LAYERS, *OWN_KEYS]
+    p = PlannerParams()
+    for layer, cls in LAYERS.items():
+        assert getattr(p, layer) == cls()
+
+
+def test_override_keys_are_unambiguous():
+    names = [key for key, _ in _override_keys()]
+    assert len(set(names)) == len(names) == 27
+    for layer in LAYERS:  # a layer is not a key
+        with pytest.raises(ValueError, match="unknown parameter"):
+            PlannerParams().with_overrides({layer: "1"})
+
+
+@pytest.mark.parametrize("key,layer", _override_keys())
+def test_each_override_key_lands_on_its_owner(key, layer):
+    base = PlannerParams()
+    owner = base if layer is None else getattr(base, layer)
+    current = getattr(owner, key)
+    value = (not current if isinstance(current, bool)
+             else current + 1 if isinstance(current, int)
+             else current * 0.5)
+    p = base.with_overrides({key: str(value)})
+    changed = p if layer is None else getattr(p, layer)
+    assert getattr(changed, key) == value
+    for other in LAYERS:  # every other layer is untouched
+        if other != layer:
+            assert getattr(p, other) == getattr(base, other)
+
+
+@pytest.mark.parametrize("overrides,match", [
+    ({"a_idm": "-1"}, "a_idm must be positive"),
+    ({"sigma_d": "0"}, "sigmas must be positive"),
+    ({"da_max": "-0.1"}, "da_max must be >= 0"),
+    ({"a_max": "0"}, "a_max must be positive"),
+    ({"n_opt": "3"}, "n_opt must be >= 8"),
+    ({"n_ref": "50"}, "n_ref must be >= n_opt - 3"),
+    ({"dt_replan": "0"}, "dt_replan must be positive"),
+])
+def test_bad_parameter_values_are_rejected_at_load_time(overrides, match):
+    with pytest.raises(ScenarioError, match=match):
+        scenario_from_dict(tiny_scenario_dict(), overrides=overrides)
 
 
 def test_scenario_round_trip_and_defaults():
@@ -55,15 +115,15 @@ def test_scenario_round_trip_and_defaults():
     assert sc.seed == raw["seed"]
     assert scenario_from_dict(raw, seed=99).seed == 99
     assert scenario_from_dict(
-        raw, overrides={"w_c": "2"}).params.w_c == 2.0
+        raw, overrides={"w_c": "2"}).params.arbiter.w_c == 2.0
 
 
 def test_scenario_params_block_applies_before_overrides():
     raw = tiny_scenario_dict()
     raw["params"] = {"w_c": 3.0, "dt_max": 2.0}
     sc = scenario_from_dict(raw, overrides={"w_c": "5"})
-    assert sc.params.w_c == 5.0
-    assert sc.params.dt_max == 2.0
+    assert sc.params.arbiter.w_c == 5.0
+    assert sc.params.arbiter.dt_max == 2.0
 
 
 @pytest.mark.parametrize("mutate,match", [

@@ -10,8 +10,10 @@ from crossplan import (
     run,
     scenario_from_dict,
 )
+from crossplan.idm import VEHICLE_LENGTH
+from crossplan.scenario import DOUBLE_INTEGRATOR, IDM_AGENT
 
-from scenes import tiny_scenario_dict
+from scenes import merge_scenario, tiny_scenario_dict
 
 VEHICLES = [{"id": "a", "route": "main", "s": 5.0, "v": 12.0},
             {"id": "b", "route": "main", "s": 40.0, "v": 11.0}]
@@ -124,3 +126,30 @@ def test_closed_loop_tiny_merge_is_collision_free():
     sc = _tiny(duration=4.0)
     trace = run(sc, SimConfig())
     assert collision_check(trace, sc) == []
+
+
+def test_idm_agent_keeps_a_gap_behind_a_slow_vehicle():
+    def follower_gaps(agent):
+        raw = tiny_scenario_dict(duration=8.0, vehicles=[
+            {"id": "slow", "route": "main", "s": 40.0, "v": 2.0},
+            {"id": "f", "route": "main", "s": 5.0, "v": 15.0,
+             "agent": agent}])
+        trace = run(scenario_from_dict(raw), SimConfig())
+        gaps = [r.vehicles["slow"][0] - r.vehicles["f"][0] - VEHICLE_LENGTH
+                for r in trace]
+        return gaps, trace[-1].vehicles["f"][1]
+
+    gaps, v_end = follower_gaps(IDM_AGENT)
+    assert min(gaps) > 0.0
+    assert v_end < 5.0  # it braked down to the slow vehicle's speed
+    # a double integrator in the same place drives into the slow vehicle
+    assert min(follower_gaps(DOUBLE_INTEGRATOR)[0]) < 0.0
+
+
+def test_sim_step_is_the_planning_step():
+    # the plan is executed one sample per sim step, so a coarser sim step
+    # must not rescale the executed plan in time
+    final = {step: run(merge_scenario(seed=0),
+                       SimConfig(sim_step=step, duration=8.0))[-1].ego_v
+             for step in (0.05, 0.1)}
+    assert abs(final[0.1] - final[0.05]) < 1.0
