@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ EXIT_PLANNER = 1
 EXIT_INPUT = 2
 
 CSV_BASE_HEADER = ["t", "ego_s", "ego_x", "ego_y", "ego_v", "ego_a_lon",
-                   "ego_a_lat", "ego_a_abs", "selected_option", "plan_ms"]
+                   "ego_a_lat", "ego_a_abs", "selected_option", "plan_ms",
+                   "solver_status"]
 
 
 def main(argv=None) -> int:
@@ -96,7 +98,8 @@ def _write_csv(path: Path, trace: list[TraceRecord], scenario: Scenario):
             row = [f"{rec.t:.2f}", f"{rec.ego_s:.4f}", f"{rec.ego_x:.4f}",
                    f"{rec.ego_y:.4f}", f"{rec.ego_v:.4f}",
                    f"{rec.ego_a_lon:.4f}", f"{rec.ego_a_lat:.4f}",
-                   f"{rec.ego_a_abs:.4f}", rec.selected, f"{rec.plan_ms:.3f}"]
+                   f"{rec.ego_a_abs:.4f}", rec.selected, f"{rec.plan_ms:.3f}",
+                   rec.solver_status]
             for vid in vids:
                 s, v = rec.vehicles[vid]
                 row += [f"{s:.4f}", f"{v:.4f}"]
@@ -106,7 +109,9 @@ def _write_csv(path: Path, trace: list[TraceRecord], scenario: Scenario):
 def _summarize(trace: list[TraceRecord], scenario: Scenario) -> dict:
     v = np.array([r.ego_v for r in trace])
     a = np.array([r.ego_a_abs for r in trace])
-    plan_ms = np.array([r.plan_ms for r in trace if r.plan_ms > 0.0])
+    cycles = [r for r in trace if r.plan_ms > 0.0]
+    plan_ms = np.array([r.plan_ms for r in cycles])
+    status_cycles = Counter(r.solver_status for r in cycles)
     timeline = []
     for rec in trace:
         if rec.selected and (not timeline or timeline[-1][1] != rec.selected):
@@ -122,6 +127,7 @@ def _summarize(trace: list[TraceRecord], scenario: Scenario) -> dict:
         "plan_ms_mean": float(plan_ms.mean()) if len(plan_ms) else 0.0,
         "plan_ms_p95": float(np.percentile(plan_ms, 95)) if len(plan_ms) else 0.0,
         "plan_ms_max": float(plan_ms.max()) if len(plan_ms) else 0.0,
+        "solver_status_cycles": dict(sorted(status_cycles.items())),
     }
 
 

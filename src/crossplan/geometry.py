@@ -66,6 +66,19 @@ class Polyline:
         base = self.points[i] + self.seg_dir[i] * (s - self.arc[i])
         return base + d * self.seg_normal[i]
 
+    def points_at(self, s, d=0.0, extrapolate: bool = False) -> np.ndarray:
+        """`point_at` for an array of arc lengths (and scalar or per-sample
+        offsets), as one (len(s), 2) array with the same values."""
+        s = np.asarray(s, dtype=float)
+        if not extrapolate and (np.any(s < -1e-9)
+                                or np.any(s > self.length + 1e-9)):
+            raise SOutOfRange(f"s outside [0, {self.length}]")
+        i = np.searchsorted(self.arc, np.clip(s, 0.0, self.length),
+                            side="right") - 1
+        i = np.clip(i, 0, len(self.seg_len) - 1)
+        base = self.points[i] + self.seg_dir[i] * (s - self.arc[i])[:, None]
+        return base + np.asarray(d, dtype=float)[..., None] * self.seg_normal[i]
+
     def heading_at(self, s: float) -> float:
         return float(self.seg_heading[self.segment_index(s)])
 
@@ -96,9 +109,7 @@ class Polyline:
         """(s, xy) samples at a uniform arc-length step, endpoint included."""
         n = max(int(math.ceil(self.length / step)) + 1, 2)
         s = np.linspace(0.0, self.length, n)
-        idx = np.clip(np.searchsorted(self.arc, s, side="right") - 1, 0, len(self.seg_len) - 1)
-        xy = self.points[idx] + self.seg_dir[idx] * (s - self.arc[idx])[:, None]
-        return s, xy
+        return s, self.points_at(s)
 
 
 def _vertex_curvature(pts, seg, seg_len):
@@ -137,6 +148,9 @@ class Route:
     intersection_start: Optional[float] = None
 
     def __post_init__(self):
+        # the IDM divides by the target speed, which the limit caps
+        if not self.speed_limit > 0.0:
+            raise ValueError(f"route {self.id!r}: speed_limit must be positive")
         if self.intersection_start is not None:
             if not 0.0 <= self.intersection_start <= self.centerline.length:
                 raise ValueError("intersection_start outside route arc range")

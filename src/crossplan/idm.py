@@ -75,22 +75,35 @@ class LongTrajectory:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Target speed over arc length on a uniform grid."""
+    """Target speed over arc length on a uniform grid.
+
+    Lookups run on Python floats: the grid is converted once here and `v`
+    copied into a list, so `v` must not change after construction. Scalar
+    arithmetic on Python floats gives the same IEEE results as on
+    `np.float64`, several times faster.
+    """
 
     s0_grid: float
     ds: float
     v: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "s0_grid", float(self.s0_grid))
+        object.__setattr__(self, "ds", float(self.ds))
+        object.__setattr__(self, "_values",
+                           np.asarray(self.v, dtype=float).tolist())
+
     def v_at(self, s: float) -> float:
-        x = (s - self.s0_grid) / self.ds
+        x = (float(s) - self.s0_grid) / self.ds
+        values = self._values
         if x <= 0.0:
-            return float(self.v[0])
-        n = len(self.v) - 1
+            return values[0]
+        n = len(values) - 1
         if x >= n:
-            return float(self.v[-1])
+            return values[n]
         i = int(x)
         f = x - i
-        return float(self.v[i] * (1.0 - f) + self.v[i + 1] * f)
+        return values[i] * (1.0 - f) + values[i + 1] * f
 
 
 def idm_acceleration(v: float, v0: float, gap: Optional[float] = None,
@@ -168,20 +181,28 @@ def rollout(start: LongState, profile: SpeedProfile,
         raise ValueError("n must be >= 2")
     if leader is not None and len(leader) < n:
         raise HorizonMismatch(f"leader has {len(leader)} samples, need {n}")
-    leader_s = leader.s if leader is not None else None
-    leader_v = leader.v if leader is not None else None
-    prof_s0, prof_v = profile.s0_grid, profile.v
+    # the loop runs on Python floats, read from lists rather than arrays:
+    # the same IEEE operations as on np.float64, without numpy's
+    # per-operation overhead
+    if leader is not None:
+        leader_s = leader.s[:n - 1].tolist()
+        leader_v = leader.v[:n - 1].tolist()
+    else:
+        leader_s = leader_v = None
+    if stop_at is not None:
+        stop_at = float(stop_at)
+    prof_s0, prof_v = profile.s0_grid, profile._values
     prof_inv_ds = 1.0 / profile.ds
     prof_n = len(prof_v) - 1
     a_idm, delta, s0_p, T = params.a_idm, params.delta, params.s0, params.T
     two_sqrt_ab = 2.0 * math.sqrt(params.a_idm * params.b)
-    s_out = np.empty(n)
-    v_out = np.empty(n)
-    s = start.s
-    v = max(start.v, 0.0)
+    s_out = []
+    v_out = []
+    s = float(start.s)
+    v = max(float(start.v), 0.0)
     for i in range(n - 1):
-        s_out[i] = s
-        v_out[i] = v
+        s_out.append(s)
+        v_out.append(v)
         # target speed lookup (uniform-grid linear interpolation)
         x = (s - prof_s0) * prof_inv_ds
         if x <= 0.0:
@@ -219,6 +240,6 @@ def rollout(start: LongState, profile: SpeedProfile,
         v = v + a * dt
         if v < 0.0:
             v = 0.0
-    s_out[n - 1] = s
-    v_out[n - 1] = v
+    s_out.append(s)
+    v_out.append(v)
     return LongTrajectory(s_out, v_out, dt=dt, t0=t0)

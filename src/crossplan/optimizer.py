@@ -22,7 +22,7 @@ from scipy import optimize
 from scipy.linalg import solve_triangular
 
 from .errors import TooShort
-from .geometry import Route, arc_to_cartesian
+from .geometry import Route
 from .idm import LongTrajectory
 
 N_OPT = 60
@@ -89,8 +89,7 @@ def reference_to_cartesian(reference: LongTrajectory, route: Route,
     """Map the first n_opt longitudinal samples onto the centerline."""
     if len(reference) < n_opt:
         raise TooShort(f"reference has {len(reference)} samples, need {n_opt}")
-    pts = np.array([arc_to_cartesian(s, 0.0, route, extrapolate=True)
-                    for s in reference.s[:n_opt]])
+    pts = route.centerline.points_at(reference.s[:n_opt], extrapolate=True)
     return CartesianTrajectory(pts, dt=reference.dt, t0=reference.t0)
 
 

@@ -44,6 +44,7 @@ class TraceRecord:
     vehicles: dict = field(default_factory=dict)  # id -> (s, v)
     plan_ms: float = 0.0
     converged: bool = True
+    solver_status: str = ""  # NlpResult.status of the plan being executed
 
 
 class _Agent:
@@ -106,16 +107,17 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
     plan = np.array([ego_pos + v_vec * (k - 3) * dt for k in range(n_opt)])
     plan_idx = 3
     last_kind: Optional[BehaviorKind] = None
-    last_converged = True
+    last_solve = (True, "")  # (converged, status) of the plan being executed
 
     records: list[TraceRecord] = []
     for i in range(steps + 1):
         t = i * dt
         if i % replan_every == 0 and i < steps:
             tic = _time.perf_counter()
-            plan, last_kind, costs, last_converged = _replan(
+            plan, last_kind, costs, result = _replan(
                 plan, plan_idx, t, dt, agents, graph, ego_route, params,
                 last_kind)
+            last_solve = (result.converged, result.status)
             plan_idx = 3
             plan_ms = (_time.perf_counter() - tic) * 1e3
         else:
@@ -123,7 +125,7 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
             costs = records[-1].option_costs if records else {}
 
         records.append(_record(t, plan, plan_idx, dt, ego_route, agents,
-                               last_kind, costs, plan_ms, last_converged))
+                               last_kind, costs, plan_ms, *last_solve))
 
         if i < steps:
             for agent in agents:
@@ -183,21 +185,20 @@ def _replan(plan, plan_idx, t, dt, agents, graph, ego_route, params,
     # ego's current lateral offset is decayed to zero over the horizon so
     # the reference stays continuous with the executed prefix
     prefix = plan[plan_idx - 3:plan_idx + 1].copy()
-    d0 = pose.d
-    ref_xy = np.empty((params.n_opt, 2))
+    n_opt = params.n_opt
+    # 1 at plan sample 4 down to 0 at the last; PlannerParams keeps n_opt >= 8
+    decay = 1.0 - np.arange(n_opt - 4) / (n_opt - 5)
+    ref_xy = np.empty((n_opt, 2))
     ref_xy[:4] = prefix
-    span = params.n_opt - 5
-    for n in range(4, params.n_opt):
-        decay = max(0.0, 1.0 - (n - 4) / span) if span > 0 else 0.0
-        ref_xy[n] = arc_to_cartesian(float(selected.reference.s[n - 3]),
-                                     d0 * decay, ego_route, extrapolate=True)
+    ref_xy[4:] = ego_route.centerline.points_at(
+        selected.reference.s[1:n_opt - 3], pose.d * decay, extrapolate=True)
     ref_traj = optimizer.CartesianTrajectory(ref_xy, dt=dt, t0=t - 3 * dt)
     result = optimizer.solve(ref_traj, prefix, params.optimizer)
-    return result.trajectory.positions, selected.kind, costs, result.converged
+    return result.trajectory.positions, selected.kind, costs, result
 
 
 def _record(t, plan, plan_idx, dt, ego_route, agents, last_kind, costs,
-            plan_ms, converged) -> TraceRecord:
+            plan_ms, converged, solver_status) -> TraceRecord:
     p = plan[plan_idx]
     v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * dt)
     a_vec = (plan[plan_idx + 1] - 2.0 * plan[plan_idx] + plan[plan_idx - 1]) / dt**2
@@ -215,7 +216,7 @@ def _record(t, plan, plan_idx, dt, ego_route, agents, last_kind, costs,
         ego_a_lon=a_lon, ego_a_lat=a_lat, ego_a_abs=float(np.hypot(*a_vec)),
         selected=str(last_kind) if last_kind is not None else "",
         option_costs=dict(costs), vehicles={a.spec.id: (a.s, a.v) for a in agents},
-        plan_ms=plan_ms, converged=converged)
+        plan_ms=plan_ms, converged=converged, solver_status=solver_status)
 
 
 def collision_check(trace: list[TraceRecord], scenario: Scenario) -> list[dict]:

@@ -39,6 +39,20 @@ def test_check_rejects_malformed_scenario(tmp_path, capsys):
     assert cli.main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
+    raw = tiny_scenario_dict()
+    raw["routes"][1]["speed_limit"] = 0.0
+    path = write_scenario(tmp_path / "zero.json", raw)
+    out = tmp_path / "t.csv"
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out", str(out)]
+    assert cli.main(args) == 2
+    assert "speed_limit must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_writes_trace_and_summary(scenario_path, tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert cli.main(["run", scenario_path, "--out", str(out)]) == 0
@@ -56,6 +70,28 @@ def test_run_writes_trace_and_summary(scenario_path, tmp_path, capsys):
     assert summary["selection_timeline"]
     printed = json.loads(capsys.readouterr().out)
     assert printed == summary
+
+
+def test_run_reports_the_solver_status_of_each_cycle(scenario_path, tmp_path,
+                                                   capsys):
+    out = tmp_path / "trace.csv"
+    # a tight acceleration limit sends some cycles through SLSQP
+    assert cli.main(["run", scenario_path, "--set", "a_max=0.5",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    header = list(rows[0])
+    assert header.index("solver_status") == header.index("plan_ms") + 1
+    statuses = {"closed_form", "converged", "braking_bypass", "not_converged",
+                "reference_fallback"}
+    assert all(r["solver_status"] in statuses for r in rows)
+    cycles = [r["solver_status"] for r in rows if float(r["plan_ms"]) > 0.0]
+    summary = json.loads(out.with_suffix(".summary.json").read_text())
+    counts = summary["solver_status_cycles"]
+    assert counts == {s: cycles.count(s) for s in sorted(set(cycles))}
+    assert sum(counts.values()) == int(2.0 / 0.2)  # one per 0.2 s cycle
+    assert set(counts) - {"closed_form"}
 
 
 def test_run_seed_flag_changes_agent_motion(scenario_path, tmp_path):

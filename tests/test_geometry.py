@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from crossplan import Polyline, Route, RouteGraph
 from crossplan.errors import PositionOutOfCorridor, SOutOfRange
 from crossplan.geometry import (
+    ConflictZone,
     arc_to_cartesian,
     compute_conflict_zone,
     normalize_angle,
     project_to_route,
 )
 
-from scenes import circle_route, line_route, merge_graph, t_junction_graph
+from scenes import (circle_route, line_route, merge_graph, merge_scenario,
+                    t_junction_graph, t_junction_scenario)
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0))
@@ -112,6 +114,53 @@ def test_point_at_bounds_and_extrapolation():
     assert p[1] == pytest.approx(0.0)
 
 
+def test_points_at_equals_stacked_point_at():
+    line = _gentle_polyline(np.random.default_rng(7))
+    L = line.length
+    s = np.concatenate(([-3.0, -1e-10, 0.0], np.linspace(0.0, L, 97),
+                        line.arc, [L + 1e-10, L + 0.5, L + 12.0]))
+    d = np.random.default_rng(8).uniform(-2.0, 2.0, len(s))
+    for dd in (0.0, 1.25, -0.75, d):
+        want = np.stack([line.point_at(si, float(di), extrapolate=True)
+                         for si, di in zip(s, np.broadcast_to(dd, s.shape))])
+        got = line.points_at(s, dd, extrapolate=True)
+        assert got.shape == (len(s), 2)
+        assert np.array_equal(got, want)
+    inside = s[(s >= -1e-9) & (s <= L + 1e-9)]
+    want = np.stack([line.point_at(si, 0.5) for si in inside])
+    assert np.array_equal(line.points_at(inside, 0.5), want)
+    for bad in ([-0.1, 1.0], [1.0, L + 0.1]):
+        with pytest.raises(SOutOfRange):
+            line.points_at(np.array(bad))
+
+
+def test_sample_keeps_the_per_segment_formula():
+    line = _gentle_polyline(np.random.default_rng(9))
+    s, xy = line.sample(0.5)
+    assert s[0] == 0.0 and s[-1] == line.length
+    # the formula `sample` used before it called `points_at`; the zero
+    # offset term that `points_at` adds can flip only the sign of a zero
+    i = np.clip(np.searchsorted(line.arc, s, side="right") - 1, 0,
+                len(line.seg_len) - 1)
+    want = line.points[i] + line.seg_dir[i] * (s - line.arc[i])[:, None]
+    assert np.array_equal(xy, want)
+
+
+def test_bundled_scenarios_conflict_zones():
+    merge = merge_scenario().graph
+    assert merge.conflict_zones == {
+        frozenset(("main", "ramp")): ConflictZone(
+            "merging", {"main": 480.5, "ramp": 289.43194348008785})}
+    junction = t_junction_scenario().graph
+    assert junction.conflict_zones == {
+        frozenset(("north", "side")): ConflictZone(
+            "merging", {"north": 252.0, "side": 121.90162578071792}),
+        frozenset(("side", "south")): ConflictZone(
+            "crossing", {"side": 114.90727020313574, "south": 244.5},
+            {"side": 124.39960991556869, "south": 254.0}),
+    }
+
+
 def test_curvature_exact_on_sampled_circle():
     for radius in (10.0, 30.0, 112.0):
         route = circle_route("c", radius, n=120)
@@ -203,6 +252,13 @@ def test_route_validates_intersection_start():
     with pytest.raises(ValueError):
         Route(id="r", centerline=line, speed_limit=10.0,
               intersection_start=11.0)
+
+
+@pytest.mark.parametrize("limit", [0.0, -5.0, math.nan])
+def test_route_rejects_a_non_positive_speed_limit(limit):
+    line = Polyline([[0.0, 0.0], [10.0, 0.0]])
+    with pytest.raises(ValueError, match="speed_limit"):
+        Route(id="r", centerline=line, speed_limit=limit)
 
 
 def test_project_to_route_corridor_limit():

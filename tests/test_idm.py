@@ -17,7 +17,7 @@ from crossplan import (
     target_speed_profile,
 )
 from crossplan.errors import HorizonMismatch, NonPositiveGap
-from crossplan.idm import HARD_DECEL, VEHICLE_LENGTH, route_profile
+from crossplan.idm import _GAP_EPS, HARD_DECEL, VEHICLE_LENGTH, route_profile
 
 from scenes import circle_route, line_route, merge_scenario, t_junction_scenario
 
@@ -227,3 +227,148 @@ def test_route_profile_is_one_shared_object_per_route():
     assert route_profile(route) is profile
     assert np.array_equal(
         profile.v, target_speed_profile(route, route.speed_limit).v)
+
+
+def float64_rollout(start, profile, leader=None, stop_at=None,
+                    params=IdmParams(), n=201, dt=0.05,
+                    vehicle_length=VEHICLE_LENGTH):
+    """The rollout loop as it ran on numpy scalars: every index into the
+    profile, the leader and the output arrays yields an np.float64."""
+    leader_s = leader.s if leader is not None else None
+    leader_v = leader.v if leader is not None else None
+    prof_s0, prof_v = profile.s0_grid, profile.v
+    prof_inv_ds = 1.0 / profile.ds
+    prof_n = len(prof_v) - 1
+    a_idm, delta, s0_p, T = params.a_idm, params.delta, params.s0, params.T
+    two_sqrt_ab = 2.0 * math.sqrt(params.a_idm * params.b)
+    s_out = np.empty(n)
+    v_out = np.empty(n)
+    s = start.s
+    v = max(start.v, 0.0)
+    for i in range(n - 1):
+        s_out[i] = s
+        v_out[i] = v
+        x = (s - prof_s0) * prof_inv_ds
+        if x <= 0.0:
+            v0 = prof_v[0]
+        elif x >= prof_n:
+            v0 = prof_v[prof_n]
+        else:
+            j = int(x)
+            f = x - j
+            v0 = prof_v[j] * (1.0 - f) + prof_v[j + 1] * f
+        gap = None
+        dv = 0.0
+        if leader_s is not None:
+            g = leader_s[i] - s - vehicle_length
+            gap = g if g > _GAP_EPS else _GAP_EPS
+            dv = v - leader_v[i]
+        if stop_at is not None:
+            g_stop = stop_at - s
+            if g_stop <= _GAP_EPS:
+                g_stop = _GAP_EPS
+            if gap is None or g_stop < gap:
+                gap = g_stop
+                dv = v
+        if gap is None:
+            a = a_idm * (1.0 - (v / v0) ** delta)
+        else:
+            s_star = s0_p + v * T + v * dv / two_sqrt_ab
+            a = a_idm * (1.0 - (v / v0) ** delta - (s_star / gap) ** 2)
+        if a > a_idm:
+            a = a_idm
+        elif a < -HARD_DECEL:
+            a = -HARD_DECEL
+        s = s + v * dt
+        v = v + a * dt
+        if v < 0.0:
+            v = 0.0
+    s_out[n - 1] = s
+    v_out[n - 1] = v
+    return s_out, v_out
+
+
+def _braking_leader(n, s0=60.0, v0=14.0, decel=3.0, dt=0.05):
+    t = np.arange(n) * dt
+    v = np.maximum(v0 - decel * t, 0.0)
+    return LongTrajectory(s0 + np.cumsum(v) * dt - v[0] * dt, v, dt)
+
+
+_GRID_PROFILE = SpeedProfile(
+    37.25, 0.5, np.random.default_rng(5).uniform(6.0, 18.0, 301))
+
+ROLLOUT_CASES = {
+    "free_road": dict(start=LongState(12.3, 9.7),
+                      profile=target_speed_profile(bend_route(), 20.0)),
+    "leader_only": dict(start=LongState(3.0, 15.0),
+                        profile=_GRID_PROFILE, leader=_braking_leader(201)),
+    "stop_target_only": dict(start=LongState(40.0, 13.0),
+                             profile=_GRID_PROFILE, stop_at=130.0),
+    "leader_and_stop_target": dict(start=LongState(0.0, 16.0),
+                                   profile=_GRID_PROFILE,
+                                   leader=_braking_leader(201, s0=40.0,
+                                                          decel=0.0),
+                                   stop_at=60.0),
+    "float64_start_and_stop": dict(
+        start=LongState(np.float64(41.7), np.float64(12.1)),
+        profile=_GRID_PROFILE, stop_at=np.float64(120.25)),
+    "leader_longer_than_n": dict(start=LongState(3.0, 15.0),
+                                 profile=_GRID_PROFILE,
+                                 leader=_braking_leader(301)),
+    "speed_clamped_at_zero": dict(start=LongState(50.0, 18.0),
+                                  profile=_GRID_PROFILE, stop_at=58.0,
+                                  n=121),
+    "profile_grid_not_at_zero": dict(start=LongState(20.0, 4.0),
+                                     profile=_GRID_PROFILE, n=401),
+}
+
+
+@pytest.mark.parametrize("case", ROLLOUT_CASES.values(),
+                         ids=list(ROLLOUT_CASES))
+def test_rollout_equals_the_float64_loop_bitwise(case):
+    traj = rollout(**case)
+    want_s, want_v = float64_rollout(**case)
+    assert np.array_equal(traj.s, want_s)
+    assert np.array_equal(traj.v, want_v)
+
+
+def test_rollout_cases_reach_their_branches():
+    profile = _GRID_PROFILE
+    grid_end = profile.s0_grid + profile.ds * (len(profile.v) - 1)
+    clamped = rollout(**ROLLOUT_CASES["speed_clamped_at_zero"])
+    assert clamped.v.min() == 0.0
+    # the leader binds first, the stop target later
+    case = ROLLOUT_CASES["leader_and_stop_target"]
+    traj = rollout(**case)
+    leader_gap = case["leader"].s - traj.s - VEHICLE_LENGTH
+    stop_binds = case["stop_at"] - traj.s < leader_gap
+    assert not stop_binds[0] and stop_binds[-1]
+    beyond = rollout(**ROLLOUT_CASES["profile_grid_not_at_zero"])
+    assert beyond.s[0] < profile.s0_grid and beyond.s[-1] > grid_end
+
+
+def float64_v_at(profile, s):
+    """`SpeedProfile.v_at` as it ran on numpy scalars."""
+    x = (s - profile.s0_grid) / profile.ds
+    if x <= 0.0:
+        return float(profile.v[0])
+    n = len(profile.v) - 1
+    if x >= n:
+        return float(profile.v[-1])
+    i = int(x)
+    f = x - i
+    return float(profile.v[i] * (1.0 - f) + profile.v[i + 1] * f)
+
+
+def test_v_at_equals_the_float64_lookup():
+    profile = _GRID_PROFILE
+    grid = profile.s0_grid + profile.ds * np.arange(len(profile.v))
+    rng = np.random.default_rng(6)
+    s = np.concatenate(([0.0, profile.s0_grid - 3.0], grid,
+                        rng.uniform(grid[0], grid[-1], 500),
+                        [grid[-1] + 0.1, grid[-1] + 80.0]))
+    for x in s:
+        got = profile.v_at(float(x))
+        assert type(got) is float
+        assert got == float64_v_at(profile, float(x))
+        assert profile.v_at(np.float64(x)) == got
