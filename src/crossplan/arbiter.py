@@ -203,12 +203,11 @@ def score_options(options: list[BehaviorOption],
     stop_ref = next((o.reference for o in options if o.kind.name == STOP), None)
     scored = []
     for opt in options:
-        if stop_ref is not None and opt.kind.name != STOP:
-            if progress_cost(opt.reference, stop_ref) >= 0.0:
-                continue
+        c_p = progress_cost(opt.reference, stop_ref)
+        if stop_ref is not None and opt.kind.name != STOP and c_p >= 0.0:
+            continue
         same = (last_kind is not None
                 and opt.kind.retention_key == last_kind.retention_key)
-        c_p = progress_cost(opt.reference, stop_ref)
         c_c = 0.0
         terms = {}
         for vid in sorted(predictions):

@@ -2,14 +2,15 @@
 nonlinear program penalizing spatial deviation, acceleration, jerk and snap
 subject to an absolute-acceleration constraint.
 
-The cost is an exact quadratic form, so the unconstrained minimizer comes
-from a linear solve. When the acceleration constraint activates, the
-(convex) problem goes to SQP (SLSQP) in whitened coordinates: the free
-positions are the unconstrained optimum plus s L^-T z, where Q_ff = L L^T
-is the cached Cholesky factor of the cost's free-free block and s a scalar,
-so the objective is z.z and the quasi-Newton model starts from the exact
-Hessian. The cost is evaluated in residual form (positions differenced
-first, squared after), so it stays accurate far from the origin.
+The cost and its gradient are evaluated in residual form (positions
+differenced first, squared after), so they stay accurate far from the
+origin. The cost is quadratic, with Hessian 2 Q_ff over the free positions;
+Q_ff = L L^T is factored once per (n, dt, weights) and cached. The
+unconstrained minimizer is reached by Newton steps from the reference on
+that factor. When the acceleration constraint activates, the (convex)
+problem goes to SQP (SLSQP) in whitened coordinates: the free positions are
+the unconstrained optimum plus s L^-T z, with s a scalar, so the objective
+is z.z and the quasi-Newton model starts from the exact Hessian.
 """
 
 from __future__ import annotations
@@ -115,30 +116,17 @@ def _stencils(n: int, dt: float):
 
 
 @lru_cache(maxsize=16)
-def _cost_matrices(n: int, dt: float, w_spatial: float, w_acc: float,
-                   w_jerk: float, w_snap: float):
-    """Q such that J = sum_dim x_d^T Q x_d - 2 b_d^T x_d + const, with
-    b_d = w_spatial * S * ref_d."""
-    D_acc, D_jerk, D_snap = _stencils(n, dt)
-    S = np.zeros((n, n))
-    for i in range(N_FIXED, n):
-        S[i, i] = 1.0
-    Q = (w_spatial * S + w_acc * D_acc.T @ D_acc
-         + w_jerk * D_jerk.T @ D_jerk + w_snap * D_snap.T @ D_snap)
-    return Q, S
-
-
-@lru_cache(maxsize=16)
 def _whitening(n: int, dt: float, w_spatial: float, w_acc: float,
                w_jerk: float, w_snap: float):
-    """(L^-T, M) with Q_ff = L L^T the free-free block of Q and
-    M = D_acc_f L^-T, the map from whitened free variables to the
-    accelerations at the constrained centres."""
-    Q, _ = _cost_matrices(n, dt, w_spatial, w_acc, w_jerk, w_snap)
-    L = np.linalg.cholesky(Q[N_FIXED:, N_FIXED:])
+    """(L^-T, M) with Q_ff = L L^T, half the cost's Hessian over the free
+    positions, and M = D_acc_f L^-T, the map from whitened free variables
+    to the accelerations at the constrained centres."""
+    D_acc, D_jerk, D_snap = (D[:, N_FIXED:] for D in _stencils(n, dt))
+    Qff = (w_spatial * np.eye(n - N_FIXED) + w_acc * D_acc.T @ D_acc
+           + w_jerk * D_jerk.T @ D_jerk + w_snap * D_snap.T @ D_snap)
+    L = np.linalg.cholesky(Qff)
     Linv_T = solve_triangular(L, np.eye(n - N_FIXED), lower=True).T
-    M = _stencils(n, dt)[0][:, N_FIXED:] @ Linv_T
-    return Linv_T, M
+    return Linv_T, D_acc @ Linv_T
 
 
 def _residuals(x: np.ndarray, dt: float):
@@ -168,16 +156,12 @@ def assemble_cost(positions: np.ndarray, reference: np.ndarray,
         raise TooShort("need at least 8 samples")
     dev = x[N_FIXED:] - ref[N_FIXED:]
     cost = weights.w_spatial * float((dev**2).sum())
-    # The gradient is Q x - b summed in the order of Q's terms, with the
-    # reference subtracted last: gradient differences then give back 2 Q to
-    # the bit, the matrix that the closed form solves with.
     half_grad = np.zeros_like(x)
-    half_grad[N_FIXED:] = weights.w_spatial * x[N_FIXED:]
+    half_grad[N_FIXED:] = weights.w_spatial * dev
     for w, D, r in zip((weights.w_acc, weights.w_jerk, weights.w_snap),
                        _stencils(n, dt), _residuals(x, dt)):
         cost += w * float((r**2).sum())
-        half_grad = half_grad + (w * D.T) @ r
-    half_grad[N_FIXED:] -= weights.w_spatial * ref[N_FIXED:]
+        half_grad += w * (D.T @ r)
     return cost, 2.0 * half_grad
 
 
@@ -192,11 +176,12 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     """Minimize the comfort cost over the free positions subject to
     ||a_n|| <= a_max, keeping the four-point prefix bitwise fixed.
 
-    The unconstrained quadratic optimum x* is computed first; SQP (SLSQP)
-    runs only when it violates the acceleration constraint. SLSQP works on
-    whitened variables z, with free positions x* + s L^-T z (Q_ff = L L^T):
-    the objective is z.z (the cost above J(x*), over s^2), the accelerations
-    are affine in z, and the start z = 0 is x* itself.
+    The unconstrained quadratic optimum x* is computed first, by three
+    Newton steps from the reference (with the prefix) on the cached factor
+    Q_ff = L L^T; SQP (SLSQP) runs only when x* violates the acceleration
+    constraint. SLSQP works on whitened variables z, with free positions
+    x* + s L^-T z: the objective is z.z (the cost above J(x*), over s^2),
+    the accelerations are affine in z, and the start z = 0 is x* itself.
 
     `status` on the result says how the solve ended; `converged` is true
     for "closed_form" and for "converged" (SLSQP succeeded and the result
@@ -208,23 +193,27 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
         raise ValueError("prefix must be 4 positions")
     n = len(ref)
     dt = reference.dt
-    wkey = (weights.w_spatial, weights.w_acc, weights.w_jerk, weights.w_snap)
-    Q, S = _cost_matrices(n, dt, *wkey)
-    free = slice(N_FIXED, n)
-    Qff = Q[free, free]
-    Qfc = Q[free, :N_FIXED]
+    Linv_T, M = _whitening(n, dt, weights.w_spatial, weights.w_acc,
+                           weights.w_jerk, weights.w_snap)
 
-    x = ref.copy()
-    x[:N_FIXED] = prefix
-    # exact unconstrained minimizer per coordinate
-    for dim in range(2):
-        b = weights.w_spatial * (S @ ref[:, dim])
-        rhs = b[free] - Qfc @ prefix[:, dim]
-        x[N_FIXED:, dim] = np.linalg.solve(Qff, rhs)
+    # Newton steps from the reference: with g the cost's gradient, the step
+    # -Q_ff^-1 g / 2 is -L^-T z with z = L^-1 g / 2, and lowers the cost by
+    # z.z. Each step is exact to about cond(Q_ff) eps of its own length, and
+    # the first is as long as the reference is far from the optimum, not
+    # from the origin; two more take what is left to rounding.
+    x_ref = ref.copy()
+    x_ref[:N_FIXED] = prefix
+    cost_ref, grad = assemble_cost(x_ref, ref, weights, dt)
+    x = x_ref.copy()
+    for step in range(3):
+        if step:
+            cost, grad = assemble_cost(x, ref, weights, dt)
+        z = 0.5 * (Linv_T.T @ grad[N_FIXED:])
+        x[N_FIXED:] -= Linv_T @ z
+    cost -= float((z**2).sum())  # the last step's decrease
 
     a2max = weights.a_max**2
     viol = _max_violation(x, dt, a2max)
-    cost, _ = assemble_cost(x, ref, weights, dt)
     if viol <= 1e-9:
         return NlpResult(CartesianTrajectory(x, dt=dt, t0=reference.t0),
                          converged=True, iterations=1, cost=cost,
@@ -235,8 +224,6 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     # would stretch the braking distance and override safety, so such
     # references get the unconstrained smoothing only. Lateral (cornering)
     # demand is untouched by this guard and still goes through the SQP.
-    x_ref = ref.copy()
-    x_ref[:N_FIXED] = prefix
     v_mid = (x_ref[2:] - x_ref[:-2]) / (2.0 * dt)
     a_mid = (x_ref[2:] - 2.0 * x_ref[1:-1] + x_ref[:-2]) / dt**2
     speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
@@ -253,9 +240,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     # absolute ftol acts relative to that budget. With s = 1, corner
     # problems whose excess runs into the thousands end in exit mode 8
     # (line search) instead of converging.
-    cost_ref, _ = assemble_cost(x_ref, ref, weights, dt)
     scale = np.sqrt(max(cost_ref - cost, 1.0))
-    Linv_T, M = _whitening(n, dt, *wkey)
     M = scale * M
     a_opt = _accel_rows(x, dt)
 

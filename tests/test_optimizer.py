@@ -75,23 +75,24 @@ def test_cost_does_not_depend_on_the_distance_from_the_origin():
 
 
 def _quadratic_minimizer(ref, prefix, weights, dt):
-    """Closed-form minimizer of the (linear-gradient) cost with the prefix
-    fixed, recovered from gradient evaluations only."""
+    """Minimizer of the (quadratic) cost with the prefix fixed: four Newton
+    steps from the reference, on a Hessian recovered from gradient
+    evaluations and solved by LU, independently of the planner's cached
+    factor. The gradient is exact wherever the trajectory lies, so the
+    steps converge on the optimum to rounding."""
     n = len(ref)
-    x0 = np.zeros((n, 2))
-    _, g0 = assemble_cost(x0, ref, weights, dt)
     hess = np.empty((n, n))
     for i in range(n):
         e = np.zeros((n, 2))
         e[i, 0] = 1.0
-        _, g = assemble_cost(e, ref, weights, dt)
-        hess[:, i] = g[:, 0] - g0[:, 0]
+        _, g = assemble_cost(e, np.zeros((n, 2)), weights, dt)
+        hess[:, i] = g[:, 0]
     free = slice(N_FIXED, n)
-    out = np.empty((n, 2))
+    out = ref.copy()
     out[:N_FIXED] = prefix
-    for dim in range(2):
-        rhs = -g0[free, dim] - hess[free, :N_FIXED] @ prefix[:, dim]
-        out[free, dim] = np.linalg.solve(hess[free, free], rhs)
+    for _ in range(4):
+        _, g = assemble_cost(out, ref, weights, dt)
+        out[free] -= np.linalg.solve(hess[free, free], g[free])
     return out
 
 
@@ -106,6 +107,35 @@ def test_unconstrained_solve_matches_closed_form():
         assert result.converged and result.status == "closed_form"
         assert result.iterations == 1  # the linear solve already feasible
         assert np.max(np.abs(result.trajectory.positions - want)) < 1e-8
+
+
+def test_straight_constant_speed_reference_is_its_own_optimum():
+    # every stencil residual of a straight constant-speed line is 0, so the
+    # reference is the optimum wherever it lies
+    t = np.arange(N)[:, None] * DT
+    line = 11.0 * t * np.array([0.6, -0.8])
+    for offset in (0.0, 300.0, 2000.0):
+        ref = line + offset * np.array([1.0, 1.0]) / np.sqrt(2.0)
+        result = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy())
+        assert result.status == "closed_form"
+        assert np.max(np.abs(result.trajectory.positions - ref)) < 1e-9
+
+
+def test_closed_form_is_shift_invariant():
+    # the problem on a 2^-36 m grid, so the 2 km shift itself is exact
+    rng = np.random.default_rng(47)
+    offset = np.array([2000.0, -2000.0])
+    for _ in range(5):
+        ref = np.round(_smooth_reference(rng, speed=rng.uniform(3.0, 12.0))
+                       * 2.0**36) / 2.0**36
+        prefix = ref[:N_FIXED].copy()
+        weights = _random_weights(rng)
+        near = solve(CartesianTrajectory(ref, DT), prefix, weights)
+        far = solve(CartesianTrajectory(ref + offset, DT), prefix + offset,
+                    weights)
+        assert near.status == far.status == "closed_form"
+        moved = far.trajectory.positions - offset
+        assert np.max(np.abs(moved - near.trajectory.positions)) < 1e-9
 
 
 def test_prefix_is_bitwise_fixed():
