@@ -8,8 +8,7 @@ from .behavior import (BehaviorKind, BehaviorOption, VirtualLeader,
 from .config import PlannerParams
 from .errors import PlanningError, ScenarioError
 from .geometry import (ConflictZone, FrenetPose, Polyline, Route, RouteGraph,
-                       arc_to_cartesian, compute_conflict_zone,
-                       project_to_route)
+                       compute_conflict_zone, project_to_route)
 from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
                   idm_acceleration, rollout, target_speed_profile)
 from .optimizer import (CartesianTrajectory, NlpResult, OptimizerWeights,
@@ -29,7 +28,7 @@ __all__ = [
     "PlanningError", "Polyline", "PredictorParams", "Route", "RouteGraph",
     "ScenarioError", "Scenario", "SceneState", "ScoredOption", "SimConfig",
     "SpeedProfile", "TraceRecord", "VehicleSpec", "VehicleState",
-    "VirtualLeader", "arc_to_cartesian", "build_virtual_leader",
+    "VirtualLeader", "build_virtual_leader",
     "collision_check", "compute_conflict_zone", "drive_probability",
     "generate_options", "idm_acceleration", "load_scenario", "predict",
     "project_to_route", "reference_to_cartesian", "rollout", "route_belief",

@@ -13,7 +13,7 @@ from .behavior import FREE, MERGE, STOP, BehaviorKind, BehaviorOption
 from .errors import LengthMismatch, NoOption
 from .geometry import ConflictZone, Route, RouteGraph
 from .idm import (IdmParams, LongTrajectory, VEHICLE_LENGTH, rollout)
-from .prediction import Hypothesis
+from .prediction import Hypothesis, occupancy_window
 
 
 @dataclass(frozen=True)
@@ -112,23 +112,9 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
         # merge state (the ego would cut in on its own new leader), so
         # such references are rejected outright.
         ve = float(ref.v[enter])
-        dv_lead = ve - float(f_traj.v[enter])
-        idm = idm_params
-        want = idm.s0 + ve * idm.T + ve * dv_lead / (2.0 * math.sqrt(idm.a_idm * idm.b))
-        if gap_ahead < 0.85 * max(want, idm.s0):
+        want = idm_params.desired_gap(ve, ve - float(f_traj.v[enter]))
+        if gap_ahead < 0.85 * max(want, idm_params.s0):
             return math.inf
-        return 0.0
-    # far-gap shortcut: evaluate the IDM interaction term along the
-    # unperturbed follower plan; when it never exceeds 0.01 m/s^2 the
-    # reaction equals the plan and the disturbance is negligible
-    gaps = ego_s_mapped[enter:] - f_traj.s[enter:] - VEHICLE_LENGTH
-    vf = f_traj.v[enter:]
-    dv = vf - ref.v[enter:]
-    idm = idm_params
-    s_star = idm.s0 + vf * idm.T + vf * dv / (2.0 * math.sqrt(idm.a_idm * idm.b))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        interaction = float(np.nanmax(idm.a_idm * (s_star / gaps) ** 2))
-    if interaction < 0.01:
         return 0.0
     ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt, t0=ref.t0)
     react = rollout(follower.start, follower.profile,
@@ -160,15 +146,11 @@ def crossing_courtesy(option: BehaviorOption, crosser: Hypothesis,
     either passing order, infinite otherwise."""
     if zone.kind != "crossing":
         return 0.0
-    ref = option.reference
-    lo_e, hi_e = zone.interval(ego_route.id)
-    lo_c, hi_c = zone.interval(crosser.route_id)
-    half = 0.5 * VEHICLE_LENGTH
-    t = _zone_times(ref, lo_e - half, hi_e + half)
+    t = occupancy_window(option.reference, zone, ego_route.id)
     if t is None:
         return 0.0  # ego never enters the zone: maximally passive
     t_entry_e, t_exit_e = t
-    tc = _zone_times(crosser.trajectory, lo_c - half, hi_c + half)
+    tc = occupancy_window(crosser.trajectory, zone, crosser.route_id)
     if tc is None:
         return 0.0  # crosser never reaches the zone within the horizon
     t_entry_c, t_exit_c = tc
@@ -176,17 +158,6 @@ def crossing_courtesy(option: BehaviorOption, crosser: Hypothesis,
     go_first = (t_entry_c - t_exit_e) + h >= params.dt_max
     go_after = (t_entry_e - t_exit_c) + h >= params.dt_max
     return 0.0 if (go_first or go_after) else math.inf
-
-
-def _zone_times(traj: LongTrajectory, s_enter: float, s_clear: float):
-    """(t_entry, t_exit) of a trajectory through [s_enter, s_clear]."""
-    enter = traj.first_index_reaching(s_enter)
-    if enter is None:
-        return None
-    leave = traj.first_index_reaching(s_clear)
-    t_entry = traj.t0 + enter * traj.dt
-    t_exit = traj.t0 + leave * traj.dt if leave is not None else math.inf
-    return t_entry, t_exit
 
 
 def score_options(options: list[BehaviorOption],

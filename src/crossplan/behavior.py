@@ -46,8 +46,6 @@ class BehaviorKind:
 class VirtualLeader:
     trajectory: LongTrajectory  # on ego-route arc length
     merge_time: float
-    merge_position: float
-    rl_vehicle: str
 
 
 @dataclass
@@ -55,14 +53,13 @@ class BehaviorOption:
     kind: BehaviorKind
     reference: LongTrajectory
     virtual_leader: Optional[VirtualLeader] = None
-    merge_time: float = math.inf
 
 
 def build_virtual_leader(rl_traj: LongTrajectory, rl_route_id: str,
                          merge_zone: ConflictZone, ego_route: Route,
                          ego_state: LongState,
-                         params: IdmParams = IdmParams(),
-                         rl_vehicle: str = "") -> Optional[VirtualLeader]:
+                         params: IdmParams = IdmParams()
+                         ) -> Optional[VirtualLeader]:
     """Construct a virtual leader on the ego route mirroring a real leader
     predicted on a merging route.
 
@@ -104,8 +101,7 @@ def build_virtual_leader(rl_traj: LongTrajectory, rl_route_id: str,
             v_vl[k] = v_here
 
     traj = LongTrajectory(s_vl, v_vl, dt=dt, t0=rl_traj.t0)
-    return VirtualLeader(trajectory=traj, merge_time=t_merge,
-                         merge_position=s_m_ego, rl_vehicle=rl_vehicle)
+    return VirtualLeader(trajectory=traj, merge_time=t_merge)
 
 
 def _approach_profile(ego_route: Route, ego_state: LongState, v_target: float,
@@ -168,8 +164,7 @@ def generate_options(ego: LongState, ego_route: Route,
                 if zone is None or zone.kind != "merging":
                     continue
                 vl = build_virtual_leader(hyp.trajectory, hyp.route_id, zone,
-                                          ego_route, ego, idm_params,
-                                          rl_vehicle=vid)
+                                          ego_route, ego, idm_params)
                 if vl is None:
                     continue
                 ref = rollout(ego, profile, leader=vl.trajectory, n=n_ref,
@@ -177,9 +172,9 @@ def generate_options(ego: LongState, ego_route: Route,
                 merges.append(BehaviorOption(
                     kind=BehaviorKind(MERGE, target_vehicle=vid,
                                       hypothesis_index=h_idx),
-                    reference=ref, virtual_leader=vl,
-                    merge_time=vl.merge_time))
-        merges.sort(key=lambda o: (o.merge_time, o.kind.target_vehicle))
+                    reference=ref, virtual_leader=vl))
+        merges.sort(key=lambda o: (o.virtual_leader.merge_time,
+                                   o.kind.target_vehicle))
         options.extend(merges)
     return options
 

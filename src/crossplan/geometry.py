@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import PositionOutOfCorridor, SOutOfRange
 
-DEFAULT_CORRIDOR = 50.0
-DEFAULT_LANE_HALF_WIDTH = 1.75
+CORRIDOR = 50.0          # m, farthest projection accepted onto a route
+LANE_HALF_WIDTH = 1.75   # m, conflict-zone proximity threshold
 CONFLICT_SAMPLE_STEP = 0.5
 
 
@@ -178,25 +178,18 @@ class ConflictZone:
         return self.start[route_id], math.inf
 
 
-def project_to_route(position, heading: float, route: Route,
-                     corridor: float = DEFAULT_CORRIDOR) -> FrenetPose:
+def project_to_route(position, heading: float, route: Route) -> FrenetPose:
     """Project a Cartesian pose onto the route centerline."""
     s, d, dist = route.centerline.project(position)
-    if dist > corridor:
+    if dist > CORRIDOR:
         raise PositionOutOfCorridor(
             f"position {np.asarray(position)} is {dist:.1f} m from route {route.id}")
     phi = normalize_angle(heading - route.centerline.heading_at(s))
     return FrenetPose(s=s, d=d, phi=phi)
 
 
-def arc_to_cartesian(s: float, d: float, route: Route, extrapolate: bool = False):
-    """Inverse of the projection: centerline point at s offset left by d."""
-    return route.centerline.point_at(s, d, extrapolate=extrapolate)
-
-
-def compute_conflict_zone(route_a: Route, route_b: Route,
-                          lane_half_width: float = DEFAULT_LANE_HALF_WIDTH
-                          ) -> Optional[ConflictZone]:
+def compute_conflict_zone(route_a: Route,
+                          route_b: Route) -> Optional[ConflictZone]:
     """Detect the crossing or merging region between two routes.
 
     Merging: earliest arc length on each route after which the centerlines
@@ -209,14 +202,14 @@ def compute_conflict_zone(route_a: Route, route_b: Route,
     da = _min_dist_to_polyline(xa, route_b.centerline)
     db = _min_dist_to_polyline(xb, route_a.centerline)
 
-    merge_a = _merge_start(sa, da, lane_half_width)
-    merge_b = _merge_start(sb, db, lane_half_width)
+    merge_a = _merge_start(sa, da)
+    merge_b = _merge_start(sb, db)
     if merge_a is not None and merge_b is not None:
         return ConflictZone(kind="merging",
                             start={route_a.id: merge_a, route_b.id: merge_b})
 
-    near_a = da <= 2.0 * lane_half_width
-    near_b = db <= 2.0 * lane_half_width
+    near_a = da <= 2.0 * LANE_HALF_WIDTH
+    near_b = db <= 2.0 * LANE_HALF_WIDTH
     if near_a.any() and near_b.any():
         ia = np.flatnonzero(near_a)
         ib = np.flatnonzero(near_b)
@@ -239,9 +232,9 @@ def _min_dist_to_polyline(points, poly: Polyline):
     return np.sqrt((diff**2).sum(axis=2)).min(axis=1)
 
 
-def _merge_start(s, dist, half_width):
+def _merge_start(s, dist):
     """Earliest sample after which all remaining samples stay close."""
-    within = dist < half_width
+    within = dist < LANE_HALF_WIDTH
     if not within[-1]:
         return None
     # last index that violates; shared lane starts right after it
@@ -256,8 +249,7 @@ def _merge_start(s, dist, half_width):
 class RouteGraph:
     """Routes plus right-of-way relations and pairwise conflict zones."""
 
-    def __init__(self, routes, right_of_way=(),
-                 lane_half_width: float = DEFAULT_LANE_HALF_WIDTH):
+    def __init__(self, routes, right_of_way=()):
         self.routes = {r.id: r for r in routes}
         self.right_of_way = set()
         for over, under in right_of_way:
@@ -270,8 +262,7 @@ class RouteGraph:
         ids = sorted(self.routes)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                zone = compute_conflict_zone(self.routes[a], self.routes[b],
-                                             lane_half_width)
+                zone = compute_conflict_zone(self.routes[a], self.routes[b])
                 if zone is not None:
                     self.conflict_zones[frozenset((a, b))] = zone
 

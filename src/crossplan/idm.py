@@ -16,7 +16,8 @@ from .geometry import Route
 HARD_DECEL = 8.0           # m/s^2, clamp on collapsing gaps
 VEHICLE_LENGTH = 5.0       # m, front-to-rear gap correction
 PROFILE_STEP = 0.5         # m, speed-profile sampling
-DEFAULT_A_LAT_MAX = 2.0    # m/s^2, lateral comfort limit in curves
+A_LAT_MAX = 2.0            # m/s^2, lateral comfort limit in curves
+PROFILE_DECEL = 4.0        # m/s^2, braking ahead of curves
 _KAPPA_EPS = 1e-6
 _GAP_EPS = 1e-2
 
@@ -33,6 +34,11 @@ class IdmParams:
         for name in ("a_idm", "b", "s0", "T", "delta"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"IdmParams.{name} must be positive")
+
+    def desired_gap(self, v, dv):
+        """The IDM's desired gap s* at speed v, closing on the leader at
+        dv; floats or arrays."""
+        return self.s0 + v * self.T + v * dv / (2.0 * math.sqrt(self.a_idm * self.b))
 
 
 @dataclass(frozen=True)
@@ -56,13 +62,6 @@ class LongTrajectory:
 
     def __len__(self) -> int:
         return len(self.s)
-
-    @property
-    def duration(self) -> float:
-        return (len(self.s) - 1) * self.dt
-
-    def state_at(self, idx: int) -> LongState:
-        return LongState(float(self.s[idx]), float(self.v[idx]))
 
     def accelerations(self) -> np.ndarray:
         """Forward-difference accelerations, length N-1."""
@@ -119,43 +118,37 @@ def idm_acceleration(v: float, v0: float, gap: Optional[float] = None,
     else:
         if gap <= 0.0:
             raise NonPositiveGap(f"gap={gap}")
-        dv = 0.0 if dv is None else dv
-        s_star = params.s0 + v * params.T + v * dv / (2.0 * math.sqrt(params.a_idm * params.b))
+        s_star = params.desired_gap(v, 0.0 if dv is None else dv)
         a = free - params.a_idm * (s_star / gap) ** 2
     return min(max(a, -HARD_DECEL), params.a_idm)
 
 
 @lru_cache(maxsize=256)
-def _curve_limit(route: Route, a_lat_max: float,
-                 decel: float) -> tuple[float, np.ndarray]:
+def _curve_limit(route: Route) -> tuple[float, np.ndarray]:
     """(grid step, speed) of the curvature limit after the backward pass.
 
     Capping this at a speed limit gives the same values as running the
-    pass on the capped speeds: sqrt(L*L + 2*decel*ds) >= L, and rounding
-    is monotone.
+    pass on the capped speeds: sqrt(L*L + 2*PROFILE_DECEL*ds) >= L, and
+    rounding is monotone.
     """
     n = max(int(math.ceil(route.length / PROFILE_STEP)) + 1, 2)
     s = np.linspace(0.0, route.length, n)
     ds = s[1] - s[0]
     kappa = np.abs([route.centerline.curvature_at(si) for si in s])
-    v = np.sqrt(a_lat_max / np.maximum(kappa, _KAPPA_EPS))
+    v = np.sqrt(A_LAT_MAX / np.maximum(kappa, _KAPPA_EPS))
     for i in range(n - 2, -1, -1):
-        v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * decel * ds))
+        v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * PROFILE_DECEL * ds))
     v.setflags(write=False)
     return float(ds), v
 
 
-def target_speed_profile(route: Route, v_limit: float,
-                         a_lat_max: float = DEFAULT_A_LAT_MAX,
-                         decel: float = 4.0) -> SpeedProfile:
+def target_speed_profile(route: Route, v_limit: float) -> SpeedProfile:
     """Curvature-limited speed profile with a backward smoothing pass.
 
-    The backward pass caps deceleration at `decel` so braking for curves
-    starts early enough.
+    Lateral acceleration stays within A_LAT_MAX, and the backward pass caps
+    deceleration at PROFILE_DECEL so braking for curves starts early enough.
     """
-    if a_lat_max <= 0.0:
-        raise ValueError("a_lat_max must be positive")
-    ds, v = _curve_limit(route, a_lat_max, decel)
+    ds, v = _curve_limit(route)
     return SpeedProfile(s0_grid=0.0, ds=ds, v=np.minimum(v_limit, v))
 
 

@@ -59,11 +59,6 @@ class CartesianTrajectory:
     def __len__(self):
         return len(self.positions)
 
-    def velocities(self) -> np.ndarray:
-        """Central-difference velocity vectors (endpoints one-sided)."""
-        v = np.gradient(self.positions, self.dt, axis=0)
-        return v
-
     def accelerations(self) -> np.ndarray:
         """Central-stencil accelerations a_n for n = 1..N-2, shape (N-2, 2)."""
         x = self.positions
@@ -86,12 +81,22 @@ class NlpResult:
 
 
 def reference_to_cartesian(reference: LongTrajectory, route: Route,
+                           prefix: np.ndarray, d: float,
                            n_opt: int = N_OPT) -> CartesianTrajectory:
-    """Map the first n_opt longitudinal samples onto the centerline."""
-    if len(reference) < n_opt:
-        raise TooShort(f"reference has {len(reference)} samples, need {n_opt}")
-    pts = route.centerline.points_at(reference.s[:n_opt], extrapolate=True)
-    return CartesianTrajectory(pts, dt=reference.dt, t0=reference.t0)
+    """The optimizer's reference: the executed prefix, then reference
+    samples 1..n_opt-4 on the route (sample 0 is the prefix's last point),
+    offset laterally by d at the first and decaying linearly to 0 at the
+    last, so the reference stays continuous with the prefix."""
+    if len(reference) < n_opt - N_FIXED + 1:
+        raise TooShort(f"reference has {len(reference)} samples, need "
+                       f"{n_opt - N_FIXED + 1}")
+    decay = 1.0 - np.arange(n_opt - N_FIXED) / (n_opt - N_FIXED - 1)
+    ref_xy = np.empty((n_opt, 2))
+    ref_xy[:N_FIXED] = prefix
+    ref_xy[N_FIXED:] = route.centerline.points_at(
+        reference.s[1:n_opt - N_FIXED + 1], d * decay, extrapolate=True)
+    return CartesianTrajectory(ref_xy, dt=reference.dt,
+                               t0=reference.t0 - (N_FIXED - 1) * reference.dt)
 
 
 @lru_cache(maxsize=16)

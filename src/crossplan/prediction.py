@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoCandidateRoute
-from .geometry import FrenetPose, Route, RouteGraph, normalize_angle
+from .geometry import (ConflictZone, FrenetPose, Route, RouteGraph,
+                       normalize_angle)
 from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
                   VEHICLE_LENGTH, rollout, route_profile)
 
@@ -38,6 +39,8 @@ class PredictorParams:
             raise ValueError("sigmas must be positive")
         if not 0 < self.delta_r < 1:
             raise ValueError("delta_r must be in (0,1)")
+        if not self.dt_inter >= 0:
+            raise ValueError("dt_inter must be >= 0")
         for lam in (self.lambda1, self.lambda2, self.lambda3):
             if not 0 <= lam <= 1:
                 raise ValueError("lambdas must be in [0,1]")
@@ -58,7 +61,6 @@ class VehicleState:
 
 @dataclass
 class SceneState:
-    ego: Optional[VehicleState]
     others: list
     graph: RouteGraph
     time: float = 0.0
@@ -114,8 +116,13 @@ def candidate_routes(vehicle: VehicleState,
     return out
 
 
-def _occupancy_window(traj: LongTrajectory, zone, route_id: str):
-    """(t_in, t_out) during which a rollout occupies the conflict zone."""
+def occupancy_window(traj: LongTrajectory, zone: ConflictZone,
+                     route_id: str) -> Optional[tuple[float, float]]:
+    """(t_in, t_out) during which a trajectory on `route_id` occupies the
+    conflict zone, its front entering half a vehicle length before the zone
+    and its rear clearing half a length after it; a merging zone ends
+    MERGE_ZONE_EXTENT past its start. t_out is inf when the trajectory has
+    not cleared the zone at its horizon; None when it never enters."""
     lo, hi = zone.interval(route_id)
     if zone.kind == "merging":
         hi = lo + MERGE_ZONE_EXTENT
@@ -124,7 +131,7 @@ def _occupancy_window(traj: LongTrajectory, zone, route_id: str):
         return None
     leave = traj.first_index_reaching(hi + 0.5 * VEHICLE_LENGTH)
     t_in = traj.t0 + enter * traj.dt
-    t_out = traj.t0 + (leave * traj.dt if leave is not None else traj.duration)
+    t_out = traj.t0 + leave * traj.dt if leave is not None else math.inf
     return t_in, t_out
 
 
@@ -144,12 +151,11 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
         zone = graph.zone_between(route.id, other_rid)
         if zone is None:
             continue
-        lo, _ = zone.interval(route.id)
-        arrive = drive_traj.first_index_reaching(lo - 0.5 * VEHICLE_LENGTH)
-        if arrive is None:
+        arrival = occupancy_window(drive_traj, zone, route.id)
+        if arrival is None:
             continue
-        t_arrive = drive_traj.t0 + arrive * drive_traj.dt
-        window = _occupancy_window(other_traj, zone, other_rid)
+        t_arrive = arrival[0]
+        window = occupancy_window(other_traj, zone, other_rid)
         if window is None:
             continue
         t_in, t_out = window

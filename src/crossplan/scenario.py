@@ -4,6 +4,7 @@ parameter overrides."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,6 +74,14 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         ego_route_id = str(ego["route"])
         if ego_route_id not in graph.routes:
             raise ScenarioError(f"ego route {ego_route_id!r} not defined")
+        ego_s, ego_v = float(ego["s"]), float(ego["v"])
+        if not 0.0 <= ego_s <= graph.routes[ego_route_id].length:
+            raise ScenarioError("ego: s off route")
+        if not ego_v >= 0.0:
+            raise ScenarioError("ego: negative speed")
+        duration = float(_require(raw, "duration"))
+        if not 0.0 <= duration < math.inf:
+            raise ScenarioError("duration must be finite and >= 0")
         vehicles = []
         for v in raw.get("vehicles", []):
             spec = VehicleSpec(id=str(v["id"]), route_id=str(v["route"]),
@@ -83,7 +92,7 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
                                     f"{spec.route_id!r}")
             if not 0.0 <= spec.s <= graph.routes[spec.route_id].length:
                 raise ScenarioError(f"vehicle {spec.id}: s off route")
-            if spec.v < 0.0:
+            if not spec.v >= 0.0:  # NaN included
                 raise ScenarioError(f"vehicle {spec.id}: negative speed")
             if spec.agent not in (DOUBLE_INTEGRATOR, IDM_AGENT):
                 raise ScenarioError(f"vehicle {spec.id}: unknown agent kind "
@@ -98,10 +107,10 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
             name=str(raw.get("name", "scenario")),
             graph=graph,
             ego_route_id=ego_route_id,
-            ego_s=float(ego["s"]),
-            ego_v=float(ego["v"]),
+            ego_s=ego_s,
+            ego_v=ego_v,
             vehicles=vehicles,
-            duration=float(_require(raw, "duration")),
+            duration=duration,
             seed=int(seed if seed is not None else raw.get("seed", 0)),
             params=params,
         )

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import arbiter, behavior, optimizer, prediction
 from .behavior import BehaviorKind
-from .geometry import Route, arc_to_cartesian, project_to_route
+from .geometry import Route, project_to_route
 from .idm import VEHICLE_LENGTH, LongState, idm_acceleration
 from .scenario import IDM_AGENT, Scenario
 from .prediction import SceneState, VehicleState
@@ -22,7 +22,6 @@ from .prediction import SceneState, VehicleState
 class SimConfig:
     sim_step: float = 0.05
     duration: Optional[float] = None  # defaults to the scenario's
-    seed: Optional[int] = None        # defaults to the scenario's
 
     def __post_init__(self):
         if self.sim_step <= 0:
@@ -70,7 +69,7 @@ class _Agent:
         self.v = max(self.v + a * dt, 0.0)
 
     def state(self) -> VehicleState:
-        pos = arc_to_cartesian(self.s, 0.0, self.route, extrapolate=True)
+        pos = self.route.centerline.point_at(self.s, extrapolate=True)
         heading = self.route.centerline.heading_at(min(self.s, self.route.length))
         return VehicleState(id=self.spec.id, position=pos, heading=heading,
                             speed=self.v)
@@ -79,12 +78,12 @@ class _Agent:
 def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord]:
     """Simulate the scenario and return one record per simulation step.
 
-    Deterministic: traces are a pure function of (scenario, config, seed).
+    Deterministic: traces are a pure function of (scenario, config); the
+    agents' random motion comes from the scenario's seed.
     """
     params = scenario.params
     dt = config.sim_step
     duration = config.duration if config.duration is not None else scenario.duration
-    seed = config.seed if config.seed is not None else scenario.seed
     steps = int(round(duration / dt))
     replan_every = int(round(params.dt_replan / dt))
     if abs(replan_every * dt - params.dt_replan) > 1e-9:
@@ -94,14 +93,14 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
     ego_route = scenario.ego_route
     n_opt = params.n_opt
 
-    seq = np.random.SeedSequence(seed)
+    seq = np.random.SeedSequence(scenario.seed)
     children = seq.spawn(max(len(scenario.vehicles), 1))
     agents = [_Agent(spec, graph.routes[spec.route_id],
                      np.random.default_rng(children[i]))
               for i, spec in enumerate(scenario.vehicles)]
 
     # cold-start plan: constant velocity along the route
-    ego_pos = arc_to_cartesian(scenario.ego_s, 0.0, ego_route)
+    ego_pos = ego_route.centerline.point_at(scenario.ego_s)
     heading = ego_route.centerline.heading_at(scenario.ego_s)
     v_vec = scenario.ego_v * np.array([math.cos(heading), math.sin(heading)])
     plan = np.array([ego_pos + v_vec * (k - 3) * dt for k in range(n_opt)])
@@ -155,18 +154,12 @@ def _replan(plan, plan_idx, t, dt, agents, graph, ego_route, params,
     """One planning cycle on the simulation's time grid: `dt` is the step
     of the executed plan and of every prediction and reference."""
     idm_params = params.idm
-    ego_pos = plan[plan_idx]
     v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * dt)
     speed = float(np.hypot(*v_vec))
     # only the pose's s and d are read; neither depends on the heading
-    pose = project_to_route(ego_pos, 0.0, ego_route)
-    heading = (math.atan2(v_vec[1], v_vec[0]) if speed > 0.05
-               else ego_route.centerline.heading_at(pose.s))
-    ego_state = VehicleState(id="ego", position=ego_pos, heading=heading,
-                             speed=speed)
-    scene = SceneState(ego=ego_state,
-                       others=[a.state() for a in agents],
-                       graph=graph, time=t)
+    pose = project_to_route(plan[plan_idx], 0.0, ego_route)
+    scene = SceneState(others=[a.state() for a in agents], graph=graph,
+                       time=t)
     predictions = prediction.predict(scene, n=params.n_ref, dt=dt,
                                      idm_params=idm_params,
                                      params=params.predictor)
@@ -180,19 +173,11 @@ def _replan(plan, plan_idx, t, dt, agents, graph, ego_route, params,
     selected = arbiter.select(scored, last_kind)
     costs = {str(s.option.kind): s.total for s in scored}
 
-    # reference positions for the optimizer: plan sample n corresponds to
-    # reference sample n-3 (the prefix holds the executed history); the
-    # ego's current lateral offset is decayed to zero over the horizon so
-    # the reference stays continuous with the executed prefix
+    # plan sample n corresponds to reference sample n-3: the prefix holds
+    # the executed history
     prefix = plan[plan_idx - 3:plan_idx + 1].copy()
-    n_opt = params.n_opt
-    # 1 at plan sample 4 down to 0 at the last; PlannerParams keeps n_opt >= 8
-    decay = 1.0 - np.arange(n_opt - 4) / (n_opt - 5)
-    ref_xy = np.empty((n_opt, 2))
-    ref_xy[:4] = prefix
-    ref_xy[4:] = ego_route.centerline.points_at(
-        selected.reference.s[1:n_opt - 3], pose.d * decay, extrapolate=True)
-    ref_traj = optimizer.CartesianTrajectory(ref_xy, dt=dt, t0=t - 3 * dt)
+    ref_traj = optimizer.reference_to_cartesian(
+        selected.reference, ego_route, prefix, pose.d, params.n_opt)
     result = optimizer.solve(ref_traj, prefix, params.optimizer)
     return result.trajectory.positions, selected.kind, costs, result
 

@@ -71,7 +71,7 @@ def random_scene(graph: RouteGraph, rng: np.random.Generator,
         speed = float(rng.uniform(0.0, route.speed_limit))
         others.append(VehicleState(id=f"v{i}", position=position,
                                    heading=heading, speed=speed))
-    return SceneState(ego=None, others=others, graph=graph, time=0.0)
+    return SceneState(others=others, graph=graph, time=0.0)
 
 
 def write_scenario(path: Path, raw: dict) -> Path:

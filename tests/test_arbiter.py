@@ -192,7 +192,7 @@ def _merge_scene(ego_s=None, ego_v=14.0):
     s1 = ZONE_M.start["main"] - 70.0
     others = [VehicleState("veh1", main.centerline.point_at(s1),
                            main.centerline.heading_at(s1), 17.0)]
-    scene = SceneState(ego=None, others=others, graph=MERGE_GRAPH)
+    scene = SceneState(others=others, graph=MERGE_GRAPH)
     ego = LongState(ego_s, ego_v)
     preds = predict(scene)
     options = generate_options(ego, RAMP, preds, MERGE_GRAPH)

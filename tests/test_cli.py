@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -51,6 +52,26 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
     assert cli.main(args) == 2
     assert "speed_limit must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda raw: raw.update(duration=-1.0), "duration"),
+    (lambda raw: raw.update(duration=math.nan), "duration"),
+    (lambda raw: raw["ego"].update(s=1.0e4), "ego: s off route"),
+    (lambda raw: raw["ego"].update(v=-1.0), "ego: negative speed"),
+    (lambda raw: raw.update(params={"dt_inter": -0.5}), "dt_inter"),
+    (lambda raw: raw["vehicles"].append(
+        {"id": "a", "route": "main", "s": 5.0, "v": math.nan}),
+     "vehicle a: negative speed"),
+], ids=["negative_duration", "nan_duration", "ego_off_route",
+        "negative_ego_speed", "negative_dt_inter", "nan_vehicle_speed"])
+def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
+                                           message):
+    raw = tiny_scenario_dict()
+    change(raw)
+    path = write_scenario(tmp_path / "bad.json", raw)
+    assert cli.main(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_writes_trace_and_summary(scenario_path, tmp_path, capsys):

@@ -10,7 +10,6 @@ from crossplan import Polyline, Route, RouteGraph
 from crossplan.errors import PositionOutOfCorridor, SOutOfRange
 from crossplan.geometry import (
     ConflictZone,
-    arc_to_cartesian,
     compute_conflict_zone,
     normalize_angle,
     project_to_route,
@@ -272,7 +271,15 @@ def test_project_to_route_corridor_limit():
 
 
 def test_arc_to_cartesian_matches_point_at():
-    route = circle_route("c", 40.0)
-    p = arc_to_cartesian(12.0, -0.5, route)
-    q = route.centerline.point_at(12.0, -0.5)
-    assert np.allclose(p, q)
+    # point_at is the map from (arc length, left offset) to Cartesian
+    # coordinates: on a counter-clockwise circle the left normal points to
+    # the centre, and past the end it continues along the last segment
+    radius = 40.0
+    line = circle_route("c", radius, n=2000).centerline
+    for s, d in ((12.0, -0.5), (50.0, 1.2), (0.0, 0.0)):
+        theta = s / radius
+        want = (radius - d) * np.array([math.cos(theta), math.sin(theta)])
+        assert np.allclose(line.point_at(s, d), want, atol=1e-3)
+    end = line.points[-1]
+    past = line.point_at(line.length + 2.0, extrapolate=True)
+    assert np.allclose(past, end + 2.0 * line.seg_dir[-1], atol=1e-12)

@@ -247,8 +247,8 @@ def test_emergency_braking_keeps_the_unconstrained_smoothing():
     c_ref, _ = assemble_cost(ref, ref, weights, dt)
     assert c_out <= c_ref + 1e-9
     # braking is preserved, not relaxed to the comfort limit
-    out_v = result.trajectory.velocities()
-    assert float(np.hypot(*out_v[-1])) < 3.0
+    x = result.trajectory.positions
+    assert float(np.hypot(*(x[-1] - x[-2]))) / dt < 3.0
 
 
 def test_short_problems_are_rejected():
@@ -271,7 +271,6 @@ def test_weights_validation():
 def test_cartesian_trajectory_derivative_shapes():
     rng = np.random.default_rng(37)
     traj = CartesianTrajectory(_smooth_reference(rng), DT)
-    assert traj.velocities().shape == (N, 2)
     assert traj.accelerations().shape == (N - 2, 2)
     with pytest.raises(ValueError):
         CartesianTrajectory(np.full((10, 2), np.nan), DT)
@@ -280,12 +279,20 @@ def test_cartesian_trajectory_derivative_shapes():
 def test_reference_to_cartesian_follows_the_route():
     route = circle_route("c", 60.0, n=600, limit=15.0)
     t = np.arange(201) * DT
-    ref = LongTrajectory(10.0 + 12.0 * t, np.full(201, 12.0), DT)
-    traj = reference_to_cartesian(ref, route, n_opt=N)
+    ref = LongTrajectory(10.0 + 12.0 * t, np.full(201, 12.0), DT, t0=2.0)
+    d = 0.4
+    prefix = np.array([route.centerline.point_at(10.0 + 12.0 * k * DT, d)
+                       for k in range(-3, 1)])
+    traj = reference_to_cartesian(ref, route, prefix, d, n_opt=N)
     assert len(traj) == N
-    for k in (0, 20, 59):
-        want = route.centerline.point_at(float(ref.s[k]))
+    assert traj.t0 == pytest.approx(2.0 - 3 * DT)
+    assert np.array_equal(traj.positions[:N_FIXED], prefix)
+    # plan sample k is reference sample k - 3, its offset falling from d at
+    # the first free sample to 0 at the last
+    for k, offset in ((N_FIXED, d), (31, d * (1.0 - 27 / (N - 5))),
+                      (N - 1, 0.0)):
+        want = route.centerline.point_at(float(ref.s[k - 3]), offset)
         assert np.allclose(traj.positions[k], want, atol=1e-9)
-    short = LongTrajectory(ref.s[:30], ref.v[:30], DT)
+    short = LongTrajectory(ref.s[:N - 4], ref.v[:N - 4], DT)
     with pytest.raises(TooShort):
-        reference_to_cartesian(short, route, n_opt=N)
+        reference_to_cartesian(short, route, prefix, d, n_opt=N)

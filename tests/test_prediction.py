@@ -15,8 +15,10 @@ from crossplan import (
     route_belief,
 )
 from crossplan.errors import NoCandidateRoute
-from crossplan.geometry import project_to_route
-from crossplan.prediction import candidate_routes
+from crossplan.geometry import ConflictZone, project_to_route
+from crossplan.idm import VEHICLE_LENGTH
+from crossplan.prediction import (MERGE_ZONE_EXTENT, candidate_routes,
+                                  occupancy_window)
 
 from scenes import merge_graph, random_scene, t_junction_graph
 
@@ -93,7 +95,6 @@ def test_hypothesis_probabilities_sum_to_one(graph):
 
 def test_vehicle_outside_map_is_skipped():
     scene = SceneState(
-        ego=None,
         others=[VehicleState("ghost", np.array([900.0, 900.0]), 0.0, 5.0)],
         graph=T_JUNCTION)
     assert "ghost" not in predict(scene)
@@ -133,6 +134,31 @@ def test_drive_probability_returns_exact_levels():
                              params) == params.lambda2
 
 
+def test_occupancy_window_spans_entry_to_clearing():
+    dt, t0 = 0.1, 2.0
+    half = 0.5 * VEHICLE_LENGTH
+
+    def at_10_m_per_s(n):  # s = k metres at sample k
+        return LongTrajectory(np.arange(n, dtype=float), np.full(n, 10.0), dt,
+                              t0=t0)
+
+    crossing = ConflictZone("crossing", start={"a": 50.0}, end={"a": 60.0})
+    merging = ConflictZone("merging", start={"a": 50.0})
+    enter = t0 + math.ceil(50.0 - half) * dt
+    # still inside the zone at the horizon: it never clears
+    assert occupancy_window(at_10_m_per_s(61), crossing, "a") == (enter,
+                                                                  math.inf)
+    # a crossing zone is cleared past its end, a merging one past
+    # MERGE_ZONE_EXTENT from its start
+    long = at_10_m_per_s(201)
+    assert occupancy_window(long, crossing, "a") == (
+        enter, t0 + math.ceil(60.0 + half) * dt)
+    assert occupancy_window(long, merging, "a") == (
+        enter, t0 + math.ceil(50.0 + MERGE_ZONE_EXTENT + half) * dt)
+    # never reaches the zone
+    assert occupancy_window(at_10_m_per_s(40), crossing, "a") is None
+
+
 def test_stop_hypothesis_gated_by_intersection_and_traffic():
     ramp = MERGE.routes["ramp"]
     main = MERGE.routes["main"]
@@ -143,7 +169,7 @@ def test_stop_hypothesis_gated_by_intersection_and_traffic():
         ramp.centerline.heading_at(s_before), 14.0)
 
     # empty intersection: p_drive = lambda2 = 1, so no stop hypothesis
-    scene = SceneState(ego=None, others=[approaching], graph=MERGE)
+    scene = SceneState(others=[approaching], graph=MERGE)
     maneuvers = {h.maneuver for h in predict(scene)["yielder"]}
     assert maneuvers == {"drive"}
 
@@ -151,7 +177,7 @@ def test_stop_hypothesis_gated_by_intersection_and_traffic():
     s_main = zone.start["main"] - 14.0 * (zone.start["ramp"] - s_before) / 14.0
     rival = VehicleState("rival", main.centerline.point_at(s_main),
                          main.centerline.heading_at(s_main), 14.0)
-    scene = SceneState(ego=None, others=[approaching, rival], graph=MERGE)
+    scene = SceneState(others=[approaching, rival], graph=MERGE)
     hyps = predict(scene)["yielder"]
     maneuvers = {h.maneuver for h in hyps}
     assert maneuvers == {"drive", "stop"}
@@ -163,7 +189,7 @@ def test_stop_hypothesis_gated_by_intersection_and_traffic():
     s_past = ramp.intersection_start + 10.0
     committed = VehicleState("committed", ramp.centerline.point_at(s_past),
                              ramp.centerline.heading_at(s_past), 14.0)
-    scene = SceneState(ego=None, others=[committed, rival], graph=MERGE)
+    scene = SceneState(others=[committed, rival], graph=MERGE)
     assert {h.maneuver for h in predict(scene)["committed"]} == {"drive"}
 
 
@@ -173,7 +199,7 @@ def test_predict_assigns_leader_on_shared_route():
                         main.centerline.heading_at(100.0), 18.0)
     front = VehicleState("front", main.centerline.point_at(140.0),
                          main.centerline.heading_at(140.0), 12.0)
-    scene = SceneState(ego=None, others=[back, front], graph=MERGE)
+    scene = SceneState(others=[back, front], graph=MERGE)
     hyps = predict(scene)
     follow = max(hyps["back"], key=lambda h: h.probability)
     assert follow.leader is not None

@@ -42,8 +42,9 @@ def test_seed_controls_the_agents():
     sa = [r.vehicles["a"][0] for r in a]
     sb = [r.vehicles["a"][0] for r in b]
     assert sa != sb
-    # the config seed overrides the scenario seed
-    c = run(_tiny(seed=3), SimConfig(seed=4))
+    # a seed given to the loader (as `--seed` does) replaces the file's
+    raw = tiny_scenario_dict(duration=2.0, vehicles=VEHICLES, seed=3)
+    c = run(scenario_from_dict(raw, seed=4), SimConfig())
     assert _key(b) == _key(c)
 
 
