@@ -37,7 +37,10 @@ class ScoredOption:
     progress_cost: float
     courtesy_cost: float  # probability-weighted sum over hypotheses
     total: float
-    terms: dict = field(default_factory=dict)  # (vehicle, hyp idx) -> cost
+    # (vehicle, hyp idx) -> cost, in scoring order up to and including the
+    # first infinite term, which names the vehicle and hypothesis that
+    # vetoed the option; later terms are not evaluated
+    terms: dict = field(default_factory=dict)
 
 
 def progress_cost(reference: LongTrajectory,
@@ -116,6 +119,14 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
         if gap_ahead < 0.85 * max(want, idm_params.s0):
             return math.inf
         return 0.0
+    lead = follower.leader
+    if (lead is not None and len(f_traj) == n and f_traj.dt == ref.dt
+            and np.all(lead.s[enter:n] <= ego_s_mapped[enter:n])):
+        # The follower's own leader stays at or behind the ego, so
+        # `_min_leader` would return it unchanged and the reaction would
+        # reproduce the planned trajectory exactly (the `Hypothesis`
+        # invariant, with the prediction's IdmParams).
+        return 0.0
     ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt, t0=ref.t0)
     react = rollout(follower.start, follower.profile,
                     leader=_min_leader(follower.leader, ego_as_leader),
@@ -170,6 +181,9 @@ def score_options(options: list[BehaviorOption],
 
     Options that make less initial progress than the stop baseline are
     pruned (they are dominated by stopping) except the stop option itself.
+    An option's courtesy sum stops at its first infinite term: every term
+    is finite or +inf and hypotheses of probability 0 are skipped, so no
+    later term could change the sum.
     """
     stop_ref = next((o.reference for o in options if o.kind.name == STOP), None)
     scored = []
@@ -179,30 +193,42 @@ def score_options(options: list[BehaviorOption],
             continue
         same = (last_kind is not None
                 and opt.kind.retention_key == last_kind.retention_key)
-        c_c = 0.0
-        terms = {}
-        for vid in sorted(predictions):
-            for k, hyp in enumerate(predictions[vid]):
-                if hyp.route_id == ego_route.id:
-                    continue
-                zone = graph.zone_between(ego_route.id, hyp.route_id)
-                if zone is None:
-                    continue
-                if opt.kind.name == STOP:
-                    term = 0.0  # the stop option never enters the conflict
-                elif zone.kind == "merging":
-                    term = merge_courtesy(opt, hyp, ego_route, zone, same,
-                                          idm_params, params)
-                else:
-                    term = crossing_courtesy(opt, hyp, ego_route, zone, same,
-                                             params)
-                terms[(vid, k)] = term
-                c_c += hyp.probability * term
+        c_c, terms = _courtesy(opt, predictions, ego_route, graph, same,
+                               idm_params, params)
         total = params.w_p * c_p + params.w_c * c_c
         scored.append(ScoredOption(option=opt, progress_cost=c_p,
                                    courtesy_cost=c_c, total=total,
                                    terms=terms))
     return scored
+
+
+def _courtesy(opt: BehaviorOption, predictions: dict[str, list[Hypothesis]],
+              ego_route: Route, graph: RouteGraph, same: bool,
+              idm_params: IdmParams,
+              params: ArbiterParams) -> tuple[float, dict]:
+    """(sum_i sum_k P * courtesy, terms) of one option, up to the veto."""
+    c_c = 0.0
+    terms = {}
+    for vid in sorted(predictions):
+        for k, hyp in enumerate(predictions[vid]):
+            if hyp.route_id == ego_route.id or hyp.probability == 0.0:
+                continue
+            zone = graph.zone_between(ego_route.id, hyp.route_id)
+            if zone is None:
+                continue
+            if opt.kind.name == STOP:
+                term = 0.0  # the stop option never enters the conflict
+            elif zone.kind == "merging":
+                term = merge_courtesy(opt, hyp, ego_route, zone, same,
+                                      idm_params, params)
+            else:
+                term = crossing_courtesy(opt, hyp, ego_route, zone, same,
+                                         params)
+            terms[(vid, k)] = term
+            c_c += hyp.probability * term
+            if c_c == math.inf:
+                return c_c, terms
+    return c_c, terms
 
 
 _KIND_ORDER = {STOP: 0, FREE: 1, MERGE: 2}

@@ -75,9 +75,10 @@ class NlpResult:
     # how the solve ended: "closed_form" (the unconstrained optimum is
     # feasible), "converged", "braking_bypass" (emergency braking, smoothed
     # only), "not_converged" (SLSQP stopped short; see `message`) or
-    # "reference_fallback" (SLSQP's result was worse than the reference)
+    # "reference_fallback" (the closed form's or SLSQP's result cost more
+    # than the reference)
     status: str
-    message: str = ""  # SLSQP's exit code and message, when it ran
+    message: str = ""  # SLSQP's exit code and message, or why it fell back
 
 
 def reference_to_cartesian(reference: LongTrajectory, route: Route,
@@ -187,6 +188,8 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     constraint. SLSQP works on whitened variables z, with free positions
     x* + s L^-T z: the objective is z.z (the cost above J(x*), over s^2),
     the accelerations are affine in z, and the start z = 0 is x* itself.
+    Either result is returned only when its cost, recomputed by
+    `assemble_cost`, is no more than the reference's.
 
     `status` on the result says how the solve ended; `converged` is true
     for "closed_form" and for "converged" (SLSQP succeeded and the result
@@ -218,10 +221,24 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     cost -= float((z**2).sum())  # the last step's decrease
 
     a2max = weights.a_max**2
+
+    def fallback(iterations: int, message: str) -> NlpResult:
+        # never return something worse than the plain reference
+        viol_ref = _max_violation(x_ref, dt, a2max)
+        return NlpResult(CartesianTrajectory(x_ref, dt=dt, t0=reference.t0),
+                         converged=False, iterations=iterations,
+                         cost=cost_ref, max_violation=max(viol_ref, 0.0),
+                         status="reference_fallback", message=message)
+
     viol = _max_violation(x, dt, a2max)
     if viol <= 1e-9:
+        # judged on the recomputed cost: the Newton estimate goes wrong
+        # exactly when the factor does
+        cost_cf, _ = assemble_cost(x, ref, weights, dt)
+        if not cost_cf <= cost_ref + 1e-9:
+            return fallback(1, "closed form above the reference cost")
         return NlpResult(CartesianTrajectory(x, dt=dt, t0=reference.t0),
-                         converged=True, iterations=1, cost=cost,
+                         converged=True, iterations=1, cost=cost_cf,
                          max_violation=max(viol, 0.0), status="closed_form")
 
     # Emergency braking: car following decelerates up to HARD_DECEL to keep
@@ -270,13 +287,8 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     cost_out, _ = assemble_cost(x_out, ref, weights, dt)
     message = f"SLSQP exit {res.status}: {res.message}"
 
-    # never return something worse than the plain reference
     if (not np.all(np.isfinite(x_out))) or cost_out > cost_ref + 1e-9:
-        viol_ref = _max_violation(x_ref, dt, a2max)
-        return NlpResult(CartesianTrajectory(x_ref, dt=dt, t0=reference.t0),
-                         converged=False, iterations=int(res.nit),
-                         cost=cost_ref, max_violation=max(viol_ref, 0.0),
-                         status="reference_fallback", message=message)
+        return fallback(int(res.nit), message)
     viol_out = _max_violation(x_out, dt, a2max)
     converged = bool(res.success) and viol_out <= 1e-6
     return NlpResult(CartesianTrajectory(x_out, dt=dt, t0=reference.t0),

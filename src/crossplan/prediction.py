@@ -42,8 +42,8 @@ class PredictorParams:
         if not self.dt_inter >= 0:
             raise ValueError("dt_inter must be >= 0")
         for lam in (self.lambda1, self.lambda2, self.lambda3):
-            if not 0 <= lam <= 1:
-                raise ValueError("lambdas must be in [0,1]")
+            if not 0 < lam <= 1:
+                raise ValueError("lambdas must be in (0,1]")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,14 @@ class SceneState:
 
 @dataclass
 class Hypothesis:
-    """One (route, maneuver) prediction of a vehicle with its rollout."""
+    """One (route, maneuver) prediction of a vehicle with its rollout.
+
+    Invariant: `trajectory` is `rollout(start, profile, leader, stop_at)`
+    on the prediction grid (n, dt) with the prediction's `IdmParams`, so
+    re-simulating it from this context with the same parameters reproduces
+    it bit for bit. The arbiter relies on this to skip reactions whose
+    binding leader would not change.
+    """
 
     route_id: str
     maneuver: str
@@ -205,8 +212,11 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
             leader = _closest_leader(veh.id, rid, start.s, scene, beliefs,
                                      poses, base, params.delta_r)
             profile = route_profile(route)
-            drive_traj = rollout(start, profile, leader=leader, n=n, dt=dt,
-                                 t0=scene.time, params=idm_params)
+            if leader is None and base[veh.id][0] == rid:
+                drive_traj = base[veh.id][1]  # the same rollout inputs
+            else:
+                drive_traj = rollout(start, profile, leader=leader, n=n,
+                                     dt=dt, t0=scene.time, params=idm_params)
             prioritized = [base[o.id] for o in scene.others
                            if o.id != veh.id and o.id in base
                            and graph.has_priority_over(base[o.id][0], rid)]

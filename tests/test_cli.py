@@ -60,11 +60,13 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
     (lambda raw: raw["ego"].update(s=1.0e4), "ego: s off route"),
     (lambda raw: raw["ego"].update(v=-1.0), "ego: negative speed"),
     (lambda raw: raw.update(params={"dt_inter": -0.5}), "dt_inter"),
+    (lambda raw: raw.update(params={"lambda3": 0.0}), "lambdas"),
     (lambda raw: raw["vehicles"].append(
         {"id": "a", "route": "main", "s": 5.0, "v": math.nan}),
      "vehicle a: negative speed"),
 ], ids=["negative_duration", "nan_duration", "ego_off_route",
-        "negative_ego_speed", "negative_dt_inter", "nan_vehicle_speed"])
+        "negative_ego_speed", "negative_dt_inter", "zero_lambda",
+        "nan_vehicle_speed"])
 def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
                                            message):
     raw = tiny_scenario_dict()

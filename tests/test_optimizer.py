@@ -211,6 +211,31 @@ def test_solve_never_increases_cost_over_the_reference_guess():
         assert c_out <= c_ref + 1e-9
 
 
+def test_closed_form_with_a_wrong_factor_falls_back_to_the_reference(
+        monkeypatch):
+    # a 0.3 m wiggle 300 m from the origin: the reference costs 88.5 and
+    # the optimum 3.0; a factor scaled by 1.5 overshoots to a feasible point
+    # costing 329.1 whose Newton estimate is -257.9
+    from crossplan import optimizer
+    t = np.arange(N)[:, None] * DT
+    ref = (np.array([300.0, 0.0]) + 10.0 * t * np.array([1.0, 0.0])
+           + 0.3 * np.sin(2.0 * t) * np.array([0.0, 1.0]))
+    weights = OptimizerWeights()
+    c_ref, _ = assemble_cost(ref, ref, weights, DT)
+    good = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(), weights)
+    assert good.status == "closed_form"
+    assert good.cost == assemble_cost(good.trajectory.positions, ref,
+                                      weights, DT)[0]
+    assert good.cost < 0.05 * c_ref
+    whitening = optimizer._whitening
+    monkeypatch.setattr(optimizer, "_whitening",
+                        lambda *a: tuple(1.5 * m for m in whitening(*a)))
+    bad = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(), weights)
+    assert bad.status == "reference_fallback" and not bad.converged
+    c_out, _ = assemble_cost(bad.trajectory.positions, ref, weights, DT)
+    assert bad.cost == c_out <= c_ref + 1e-9
+
+
 def _max_jerk(positions, dt):
     j = np.diff(positions, n=3, axis=0) / dt ** 3
     return float(np.max(np.hypot(j[:, 0], j[:, 1])))

@@ -12,6 +12,8 @@ from crossplan import (
     VehicleState,
     drive_probability,
     predict,
+    prediction,
+    rollout,
     route_belief,
 )
 from crossplan.errors import NoCandidateRoute
@@ -215,3 +217,39 @@ def test_predictor_params_validation():
         PredictorParams(delta_r=1.5)
     with pytest.raises(ValueError):
         PredictorParams(lambda1=1.2)
+    with pytest.raises(ValueError):
+        PredictorParams(lambda3=0.0)  # a lone hypothesis could get P = 0
+
+
+@pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
+def test_every_hypothesis_is_the_rollout_of_its_context(graph):
+    # the `Hypothesis` invariant the arbiter's shadowed-reaction shortcut
+    # relies on, the reused base rollouts included
+    for seed in range(30):
+        scene = random_scene(graph, np.random.default_rng(seed), 6)
+        for hyps in predict(scene).values():
+            for h in hyps:
+                fresh = rollout(h.start, h.profile, leader=h.leader,
+                                stop_at=h.stop_at, t0=scene.time)
+                assert np.array_equal(h.trajectory.s, fresh.s)
+                assert np.array_equal(h.trajectory.v, fresh.v)
+                assert (h.trajectory.dt, h.trajectory.t0) == (fresh.dt,
+                                                              fresh.t0)
+
+
+def test_leaderless_drive_on_the_likeliest_route_reuses_the_base_rollout(
+        monkeypatch):
+    # one vehicle alone on main: its base rollout is its drive hypothesis
+    main = MERGE.routes["main"]
+    lone = VehicleState("lone", main.centerline.point_at(100.0),
+                        main.centerline.heading_at(100.0), 18.0)
+    calls = []
+    monkeypatch.setattr(prediction, "rollout",
+                        lambda *a, **k: calls.append(1) or rollout(*a, **k))
+    hyps = predict(SceneState(others=[lone], graph=MERGE))["lone"]
+    assert [(h.route_id, h.maneuver, h.leader) for h in hyps] == [
+        ("main", "drive", None)]
+    assert len(calls) == 1
+    fresh = rollout(hyps[0].start, hyps[0].profile)
+    assert np.array_equal(hyps[0].trajectory.s, fresh.s)
+    assert np.array_equal(hyps[0].trajectory.v, fresh.v)

@@ -1,0 +1,53 @@
+"""Deterministic work counts of one planning episode. Prediction, behavior
+and the arbiter each call `rollout` through their own module binding; how
+often they do is a pure function of the scenario, so a skip that stops
+working (a vetoed option scored on, a shadowed reaction re-simulated, a
+base rollout repeated) fails here without any timing."""
+
+import math
+
+from crossplan import SimConfig, arbiter, behavior, load_scenario, prediction
+from crossplan import run
+
+from scenes import T_JUNCTION_SCENARIO
+
+# rollouts per binding over the 8 s episode below
+EXPECTED_ROLLOUTS = {"prediction": 160, "behavior": 99, "arbiter": 31}
+
+
+def test_rollouts_per_binding_and_none_after_a_veto(monkeypatch):
+    # a_max=2 binds in the left turn, as in planbench's tjunction_comfort
+    sc = load_scenario(T_JUNCTION_SCENARIO, overrides={"a_max": "2.0"})
+    counts = dict.fromkeys(EXPECTED_ROLLOUTS, 0)
+    vetoed = {}  # id -> option, kept alive so ids stay unique
+    current = [None]
+    late = {"courtesy": 0, "rollout": 0}
+
+    def counted(binding, fn):
+        def wrapper(*args, **kwargs):
+            counts[binding] += 1
+            if binding == "arbiter" and id(current[0]) in vetoed:
+                late["rollout"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def tracked(fn):
+        def wrapper(option, hyp, *args, **kwargs):
+            current[0] = option
+            if id(option) in vetoed:
+                late["courtesy"] += 1
+            term = fn(option, hyp, *args, **kwargs)
+            if term == math.inf and hyp.probability > 0.0:
+                vetoed[id(option)] = option
+            return term
+        return wrapper
+
+    for binding, mod in (("prediction", prediction), ("behavior", behavior),
+                         ("arbiter", arbiter)):
+        monkeypatch.setattr(mod, "rollout", counted(binding, mod.rollout))
+    for name in ("merge_courtesy", "crossing_courtesy"):
+        monkeypatch.setattr(arbiter, name, tracked(getattr(arbiter, name)))
+    run(sc, SimConfig(duration=8.0))
+    assert vetoed  # the episode does veto options
+    assert late == {"courtesy": 0, "rollout": 0}
+    assert counts == EXPECTED_ROLLOUTS
