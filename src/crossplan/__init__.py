@@ -2,6 +2,15 @@
 intersections: driver-model prediction, behavior selection and smooth
 trajectory optimization in a closed replanning loop."""
 
+import os
+
+# One thread per BLAS pool unless the caller set a count. Pools are sized
+# when numpy loads (so this needs crossplan imported first, as `crossplan
+# run` does); on busy cores a spinning pool slows SLSQP up to about 16x.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .arbiter import ArbiterParams, ScoredOption, score_options, select
 from .behavior import (BehaviorKind, BehaviorOption, VirtualLeader,
                        build_virtual_leader, generate_options)

@@ -191,10 +191,8 @@ def score_options(options: list[BehaviorOption],
         c_p = progress_cost(opt.reference, stop_ref)
         if stop_ref is not None and opt.kind.name != STOP and c_p >= 0.0:
             continue
-        same = (last_kind is not None
-                and opt.kind.retention_key == last_kind.retention_key)
-        c_c, terms = _courtesy(opt, predictions, ego_route, graph, same,
-                               idm_params, params)
+        c_c, terms = _courtesy(opt, predictions, ego_route, graph,
+                               opt.kind == last_kind, idm_params, params)
         total = params.w_p * c_p + params.w_c * c_c
         scored.append(ScoredOption(option=opt, progress_cost=c_p,
                                    courtesy_cost=c_c, total=total,
@@ -211,10 +209,10 @@ def _courtesy(opt: BehaviorOption, predictions: dict[str, list[Hypothesis]],
     terms = {}
     for vid in sorted(predictions):
         for k, hyp in enumerate(predictions[vid]):
-            if hyp.route_id == ego_route.id or hyp.probability == 0.0:
+            if hyp.probability == 0.0:
                 continue
             zone = graph.zone_between(ego_route.id, hyp.route_id)
-            if zone is None:
+            if zone is None:  # the ego's own route included
                 continue
             if opt.kind.name == STOP:
                 term = 0.0  # the stop option never enters the conflict
@@ -250,9 +248,7 @@ def select(scored: list[ScoredOption],
         return min(scored, key=lambda s: s.courtesy_cost).option
 
     def order(s: ScoredOption):
-        retained = (last_kind is not None
-                    and s.option.kind.retention_key == last_kind.retention_key)
-        return (s.total, 0 if retained else 1,
+        return (s.total, 0 if s.option.kind == last_kind else 1,
                 _KIND_ORDER.get(s.option.kind.name, 3),
                 s.option.kind.target_vehicle or "")
 

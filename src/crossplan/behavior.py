@@ -12,13 +12,10 @@ import numpy as np
 
 from .errors import NoEgoRoute
 from .geometry import ConflictZone, Route, RouteGraph
-from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
-                  VEHICLE_LENGTH, rollout, route_profile,
+from .idm import (DT, N_HORIZON, IdmParams, LongState, LongTrajectory,
+                  SpeedProfile, rollout, route_profile, stop_target,
                   target_speed_profile)
 from .prediction import Hypothesis, PredictorParams
-
-N_REF = 201
-DT = 0.05
 
 FREE = "follow_or_free"
 STOP = "stop"
@@ -27,14 +24,10 @@ MERGE = "merge_behind"
 
 @dataclass(frozen=True)
 class BehaviorKind:
+    """Option identity, which hysteresis retains: one merge per vehicle."""
+
     name: str
     target_vehicle: Optional[str] = None
-    hypothesis_index: Optional[int] = None
-
-    @property
-    def retention_key(self):
-        """Identity used for hysteresis: merge options per target vehicle."""
-        return (self.name, self.target_vehicle)
 
     def __str__(self):
         if self.name == MERGE:
@@ -131,7 +124,7 @@ def generate_options(ego: LongState, ego_route: Route,
                      graph: RouteGraph,
                      idm_params: IdmParams = IdmParams(),
                      pred_params: PredictorParams = PredictorParams(),
-                     n_ref: int = N_REF, dt: float = DT, t0: float = 0.0,
+                     n_ref: int = N_HORIZON, dt: float = DT, t0: float = 0.0,
                      include_merge: bool = True) -> list[BehaviorOption]:
     """Enumerate ego behavior options with N_ref-sample references."""
     if ego_route is None:
@@ -145,8 +138,8 @@ def generate_options(ego: LongState, ego_route: Route,
                        params=idm_params)
     options.append(BehaviorOption(kind=BehaviorKind(FREE), reference=free_ref))
 
-    s_stop = ego_route.intersection_start
-    if s_stop is not None and ego.s + 0.5 * VEHICLE_LENGTH < s_stop:
+    s_stop = stop_target(ego_route, ego.s)
+    if s_stop is not None:
         stop_ref = rollout(ego, profile, leader=leader, stop_at=s_stop,
                            n=n_ref, dt=dt, t0=t0, params=idm_params)
         options.append(BehaviorOption(kind=BehaviorKind(STOP),
@@ -155,10 +148,8 @@ def generate_options(ego: LongState, ego_route: Route,
     if include_merge:
         merges = []
         for vid in sorted(predictions):
-            for h_idx, hyp in enumerate(predictions[vid]):
+            for hyp in predictions[vid]:
                 if hyp.probability < pred_params.delta_r:
-                    continue
-                if hyp.route_id == ego_route.id:
                     continue
                 zone = graph.zone_between(ego_route.id, hyp.route_id)
                 if zone is None or zone.kind != "merging":
@@ -170,8 +161,7 @@ def generate_options(ego: LongState, ego_route: Route,
                 ref = rollout(ego, profile, leader=vl.trajectory, n=n_ref,
                               dt=dt, t0=t0, params=idm_params)
                 merges.append(BehaviorOption(
-                    kind=BehaviorKind(MERGE, target_vehicle=vid,
-                                      hypothesis_index=h_idx),
+                    kind=BehaviorKind(MERGE, target_vehicle=vid),
                     reference=ref, virtual_leader=vl))
         merges.sort(key=lambda o: (o.virtual_leader.merge_time,
                                    o.kind.target_vehicle))

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import PlanningError, ScenarioError
 from .scenario import Scenario, load_scenario
-from .simloop import SimConfig, TraceRecord, collision_check, run
+from .simloop import (SimConfig, TraceRecord, collision_check,
+                      replan_interval, run)
 
 EXIT_OK = 0
 EXIT_PLANNER = 1
@@ -30,6 +31,7 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario, overrides=_parse_sets(args.set),
                                  seed=args.seed)
+        replan_interval(scenario.params.dt_replan, SimConfig().sim_step)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

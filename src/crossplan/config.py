@@ -7,11 +7,11 @@ merge-option switch. An override key names a field of exactly one of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .arbiter import ArbiterParams
-from .behavior import N_REF
-from .idm import IdmParams
+from .idm import N_HORIZON, IdmParams
 from .optimizer import N_OPT, OptimizerWeights
 from .prediction import PredictorParams
 
@@ -23,7 +23,7 @@ class PlannerParams:
     arbiter: ArbiterParams = field(default_factory=ArbiterParams)
     optimizer: OptimizerWeights = field(default_factory=OptimizerWeights)
     # horizons (samples of the simulation step) and replanning period
-    n_ref: int = N_REF
+    n_ref: int = N_HORIZON
     n_opt: int = N_OPT
     dt_replan: float = 0.2
     use_virtual_leader: bool = True
@@ -34,8 +34,8 @@ class PlannerParams:
         if self.n_ref < self.n_opt - 3:
             raise ValueError("n_ref must be >= n_opt - 3 so the reference "
                              "covers every optimized sample")
-        if self.dt_replan <= 0:
-            raise ValueError("dt_replan must be positive")
+        if not 0 < self.dt_replan < math.inf:  # NaN included
+            raise ValueError("dt_replan must be positive and finite")
 
     def with_overrides(self, overrides: dict) -> "PlannerParams":
         """Apply key=value overrides, each to the dataclass that owns the

@@ -82,10 +82,10 @@ class Polyline:
     def heading_at(self, s: float) -> float:
         return float(self.seg_heading[self.segment_index(s)])
 
-    def curvature_at(self, s: float) -> float:
-        """Discrete curvature, linearly interpolated between vertex values."""
-        s = min(max(s, 0.0), self.length)
-        return float(np.interp(s, self.arc, self._vertex_curv))
+    def curvature_at(self, s):
+        """Discrete curvature at arc length s (scalar or array), linearly
+        interpolated between vertex values and constant beyond the ends."""
+        return np.interp(s, self.arc, self._vertex_curv)
 
     def project(self, position) -> tuple[float, float, float]:
         """Return (s, d, distance) of the closest point on the polyline.

@@ -20,6 +20,8 @@ A_LAT_MAX = 2.0            # m/s^2, lateral comfort limit in curves
 PROFILE_DECEL = 4.0        # m/s^2, braking ahead of curves
 _KAPPA_EPS = 1e-6
 _GAP_EPS = 1e-2
+N_HORIZON = 201            # samples of every prediction and reference
+DT = 0.05                  # s, their step: the planning grid
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _curve_limit(route: Route) -> tuple[float, np.ndarray]:
     n = max(int(math.ceil(route.length / PROFILE_STEP)) + 1, 2)
     s = np.linspace(0.0, route.length, n)
     ds = s[1] - s[0]
-    kappa = np.abs([route.centerline.curvature_at(si) for si in s])
+    kappa = np.abs(route.centerline.curvature_at(s))
     v = np.sqrt(A_LAT_MAX / np.maximum(kappa, _KAPPA_EPS))
     for i in range(n - 2, -1, -1):
         v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * PROFILE_DECEL * ds))
@@ -152,6 +154,15 @@ def target_speed_profile(route: Route, v_limit: float) -> SpeedProfile:
     return SpeedProfile(s0_grid=0.0, ds=ds, v=np.minimum(v_limit, v))
 
 
+def stop_target(route: Route, s: float) -> Optional[float]:
+    """The intersection entry while the front of a vehicle at s has not
+    reached it, where the vehicle stops; else (or without one) None."""
+    s_stop = route.intersection_start
+    if s_stop is None or s + 0.5 * VEHICLE_LENGTH >= s_stop:
+        return None
+    return s_stop
+
+
 @lru_cache(maxsize=256)
 def route_profile(route: Route) -> SpeedProfile:
     """Memoized speed profile at the route's own speed limit."""
@@ -162,7 +173,7 @@ def rollout(start: LongState, profile: SpeedProfile,
             leader: Optional[LongTrajectory] = None,
             stop_at: Optional[float] = None,
             params: IdmParams = IdmParams(),
-            n: int = 201, dt: float = 0.05, t0: float = 0.0,
+            n: int = N_HORIZON, dt: float = DT, t0: float = 0.0,
             vehicle_length: float = VEHICLE_LENGTH) -> LongTrajectory:
     """Explicit-Euler IDM integration over n samples.
 

@@ -28,6 +28,7 @@ from .idm import LongTrajectory
 
 N_OPT = 60
 N_FIXED = 4  # leading positions pinned by the finite-difference stencils
+SQP_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,12 @@ class CartesianTrajectory:
 
     def accelerations(self) -> np.ndarray:
         """Central-stencil accelerations a_n for n = 1..N-2, shape (N-2, 2)."""
-        x = self.positions
-        return (x[2:] - 2.0 * x[1:-1] + x[:-2]) / self.dt**2
+        return _accelerations(self.positions, self.dt)
+
+
+def _accelerations(x: np.ndarray, dt: float) -> np.ndarray:
+    """a_n = (x_{n+1} - 2 x_n + x_{n-1}) / dt^2 for n = 1..N-2."""
+    return (x[2:] - 2.0 * x[1:-1] + x[:-2]) / dt**2
 
 
 @dataclass
@@ -102,23 +107,11 @@ def reference_to_cartesian(reference: LongTrajectory, route: Route,
 
 @lru_cache(maxsize=16)
 def _stencils(n: int, dt: float):
-    """Acceleration, jerk and snap stencil matrices over all n positions.
-
-    acc (1,-2,1)/dt^2 at n=4..N-2; jerk (-1,2,0,-2,1)/(2 dt^3) and snap
-    (1,-4,6,-4,1)/dt^4 at n=4..N-3 (both need x_{n+2}).
-    """
+    """Acceleration, jerk and snap stencil matrices over all n positions:
+    the residuals of the unit vectors, exact as small integers."""
     if n < 8:
         raise TooShort("need at least 8 samples")
-    D_acc = np.zeros((n - 1 - N_FIXED, n))
-    for r, i in enumerate(range(N_FIXED, n - 1)):
-        D_acc[r, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / dt**2
-    rows_hi = list(range(N_FIXED, n - 2))
-    D_jerk = np.zeros((len(rows_hi), n))
-    D_snap = np.zeros((len(rows_hi), n))
-    for r, i in enumerate(rows_hi):
-        D_jerk[r, i - 2:i + 3] = np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / (2.0 * dt**3)
-        D_snap[r, i - 2:i + 3] = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dt**4
-    return D_acc, D_jerk, D_snap
+    return _residuals(np.eye(n), dt)
 
 
 @lru_cache(maxsize=16)
@@ -139,7 +132,8 @@ def _residuals(x: np.ndarray, dt: float):
     """Acceleration, jerk and snap residuals at their stencil centres, from
     repeated differences of the positions: differencing before scaling and
     squaring keeps them exact to rounding of the differences, wherever the
-    trajectory lies."""
+    trajectory lies. acc (1,-2,1)/dt^2 at n=4..N-2; jerk (-1,2,0,-2,1)/(2 dt^3)
+    and snap (1,-4,6,-4,1)/dt^4 at n=4..N-3 (both need x_{n+2})."""
     n = len(x)
     d2 = np.diff(x, n=2, axis=0)  # d2[k] centred at k+1
     d3 = np.diff(d2, axis=0)      # d3[k] centred at k+1.5
@@ -171,14 +165,8 @@ def assemble_cost(positions: np.ndarray, reference: np.ndarray,
     return cost, 2.0 * half_grad
 
 
-def _accel_rows(x: np.ndarray, dt: float) -> np.ndarray:
-    """a_n for n = 4..N-2, shape (N-5, 2)."""
-    return (x[5:] - 2.0 * x[4:-1] + x[3:-2]) / dt**2
-
-
 def solve(reference: CartesianTrajectory, prefix: np.ndarray,
-          weights: OptimizerWeights = OptimizerWeights(),
-          max_iter: int = 100) -> NlpResult:
+          weights: OptimizerWeights = OptimizerWeights()) -> NlpResult:
     """Minimize the comfort cost over the free positions subject to
     ||a_n|| <= a_max, keeping the four-point prefix bitwise fixed.
 
@@ -247,7 +235,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     # references get the unconstrained smoothing only. Lateral (cornering)
     # demand is untouched by this guard and still goes through the SQP.
     v_mid = (x_ref[2:] - x_ref[:-2]) / (2.0 * dt)
-    a_mid = (x_ref[2:] - 2.0 * x_ref[1:-1] + x_ref[:-2]) / dt**2
+    a_mid = _accelerations(x_ref, dt)
     speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
     tangential = (a_mid * v_mid).sum(axis=1) / speed
     if float(tangential.min()) < -(weights.a_max + 0.25):
@@ -264,7 +252,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     # (line search) instead of converging.
     scale = np.sqrt(max(cost_ref - cost, 1.0))
     M = scale * M
-    a_opt = _accel_rows(x, dt)
+    a_opt = _accelerations(x, dt)[N_FIXED - 1:]
 
     # z holds the free points' (z_x, z_y) pairs in storage order
     def accel(z):
@@ -281,7 +269,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
         lambda z: (z @ z, 2.0 * z), np.zeros(2 * (n - N_FIXED)), jac=True,
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        options={"maxiter": max_iter, "ftol": 1e-9})
+        options={"maxiter": SQP_MAX_ITER, "ftol": 1e-9})
     x_out = x.copy()
     x_out[N_FIXED:] += scale * (Linv_T @ res.x.reshape(-1, 2))
     cost_out, _ = assemble_cost(x_out, ref, weights, dt)
@@ -299,5 +287,5 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
 
 
 def _max_violation(x: np.ndarray, dt: float, a2max: float) -> float:
-    a = _accel_rows(x, dt)
+    a = _accelerations(x, dt)[N_FIXED - 1:]  # the constrained a_4..a_N-2
     return float(((a**2).sum(axis=1) - a2max).max())

@@ -12,8 +12,9 @@ import numpy as np
 from .errors import NoCandidateRoute
 from .geometry import (ConflictZone, FrenetPose, Route, RouteGraph,
                        normalize_angle)
-from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
-                  VEHICLE_LENGTH, rollout, route_profile)
+from .idm import (DT, N_HORIZON, IdmParams, LongState, LongTrajectory,
+                  SpeedProfile, VEHICLE_LENGTH, rollout, route_profile,
+                  stop_target)
 
 # corridor bounds that qualify a route as a candidate for a vehicle
 CANDIDATE_D_MAX = 3.0
@@ -172,7 +173,7 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
     return params.lambda1 if occupied else params.lambda2
 
 
-def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
+def predict(scene: SceneState, n: int = N_HORIZON, dt: float = DT,
             idm_params: IdmParams = IdmParams(),
             params: PredictorParams = PredictorParams()) -> dict[str, list[Hypothesis]]:
     """Hypothesis sets for every non-ego vehicle; probabilities sum to 1."""
@@ -226,10 +227,8 @@ def predict(scene: SceneState, n: int = 201, dt: float = 0.05,
                 route_id=rid, maneuver=DRIVE, trajectory=drive_traj,
                 probability=p_route * p_drive, leader=leader, profile=profile,
                 start=start))
-            s_stop = route.intersection_start
-            front_passed = (s_stop is None
-                            or start.s + 0.5 * VEHICLE_LENGTH >= s_stop)
-            if not front_passed and p_drive < 1.0:
+            s_stop = stop_target(route, start.s)
+            if s_stop is not None and p_drive < 1.0:
                 stop_traj = rollout(start, profile, leader=leader,
                                     stop_at=s_stop, n=n, dt=dt, t0=scene.time,
                                     params=idm_params)

@@ -100,6 +100,9 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
             vehicles.append(spec)
         if len({v.id for v in vehicles}) != len(vehicles):
             raise ScenarioError("duplicate vehicle ids")
+        seed = int(seed if seed is not None else raw.get("seed", 0))
+        if seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ScenarioError(f"seed must be >= 0, got {seed}")
         params = PlannerParams().with_overrides(raw.get("params", {}))
         if overrides:
             params = params.with_overrides(overrides)
@@ -111,7 +114,7 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
             ego_v=ego_v,
             vehicles=vehicles,
             duration=duration,
-            seed=int(seed if seed is not None else raw.get("seed", 0)),
+            seed=seed,
             params=params,
         )
     except ScenarioError:

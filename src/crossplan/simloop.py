@@ -13,14 +13,14 @@ import numpy as np
 from . import arbiter, behavior, optimizer, prediction
 from .behavior import BehaviorKind
 from .geometry import Route, project_to_route
-from .idm import VEHICLE_LENGTH, LongState, idm_acceleration
+from .idm import DT, VEHICLE_LENGTH, LongState, idm_acceleration
 from .scenario import IDM_AGENT, Scenario
 from .prediction import SceneState, VehicleState
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    sim_step: float = 0.05
+    sim_step: float = DT
     duration: Optional[float] = None  # defaults to the scenario's
 
     def __post_init__(self):
@@ -75,6 +75,16 @@ class _Agent:
                             speed=self.v)
 
 
+def replan_interval(dt_replan: float, sim_step: float) -> int:
+    """Simulation steps per planning cycle; ValueError unless `dt_replan`
+    is a whole, positive multiple of `sim_step`."""
+    every = int(round(dt_replan / sim_step))
+    if every < 1 or abs(every * sim_step - dt_replan) > 1e-9:
+        raise ValueError(f"dt_replan ({dt_replan}) must be an integer "
+                         f"multiple of sim_step ({sim_step})")
+    return every
+
+
 def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord]:
     """Simulate the scenario and return one record per simulation step.
 
@@ -85,9 +95,7 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
     dt = config.sim_step
     duration = config.duration if config.duration is not None else scenario.duration
     steps = int(round(duration / dt))
-    replan_every = int(round(params.dt_replan / dt))
-    if abs(replan_every * dt - params.dt_replan) > 1e-9:
-        raise ValueError("dt_replan must be an integer multiple of sim_step")
+    replan_every = replan_interval(params.dt_replan, dt)
 
     graph = scenario.graph
     ego_route = scenario.ego_route

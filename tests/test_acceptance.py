@@ -262,10 +262,10 @@ def test_criterion_8_property_suites():
                           graph.zone_between("ramp", "main"), False) + 1e-12
         for o, f in (_merge_pair(x) for x in (-2.0, 1.5, 3.0, 6.0)))
 
-    base = select(scored).kind.retention_key
+    base = select(scored).kind
     renorm = all(
         select(score_options(options, preds, graph.routes["ramp"],
-                             graph)).kind.retention_key == base
+                             graph)).kind == base
         for _ in range(3))
 
     from test_simloop import _tiny, _key

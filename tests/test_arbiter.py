@@ -159,7 +159,7 @@ def _merge_pair(offset, v=15.0):
     plan = rollout(start, profile)
     follower = Hypothesis("main", "drive", plan, 1.0,
                           profile=profile, start=start)
-    option = BehaviorOption(BehaviorKind(MERGE, "veh1", 0), ego_ref)
+    option = BehaviorOption(BehaviorKind(MERGE, "veh1"), ego_ref)
     return option, follower
 
 
@@ -259,14 +259,14 @@ def test_argmin_invariant_under_per_vehicle_renormalization():
                            profile=h.profile, start=h.start)
                 for h, p in zip(hyps, raw)]
         again = select(score_options(options, scaled, RAMP, MERGE_GRAPH))
-        assert again.kind.retention_key == base.kind.retention_key
+        assert again.kind == base.kind
 
 
 def test_select_prefers_retained_kind_on_ties():
     free = ScoredOption(BehaviorOption(BehaviorKind(FREE), _constant(0, 10)),
                         -1.0, 0.0, -1.0)
     merge = ScoredOption(
-        BehaviorOption(BehaviorKind(MERGE, "veh1", 0), _constant(0, 10)),
+        BehaviorOption(BehaviorKind(MERGE, "veh1"), _constant(0, 10)),
         -1.0, 0.0, -1.0)
     assert select([free, merge]).kind.name == FREE  # stop < free < merge
     assert select([free, merge],
@@ -339,8 +339,7 @@ def full_score_options(options, predictions, ego_route, graph, last_kind=None,
             c_p = progress_cost(opt.reference, stop_ref)
             if stop_ref is not None and opt.kind.name != STOP and c_p >= 0.0:
                 continue
-            same = (last_kind is not None
-                    and opt.kind.retention_key == last_kind.retention_key)
+            same = opt.kind == last_kind
             c_c = 0.0
             terms = {}
             for vid in sorted(predictions):
@@ -387,7 +386,7 @@ def _assert_matches_full(scored, full):
 
 
 @pytest.mark.parametrize("last", [None, BehaviorKind(FREE),
-                                  BehaviorKind(MERGE, "veh1", 0)])
+                                  BehaviorKind(MERGE, "veh1")])
 def test_score_options_equals_the_full_loop_on_the_merge_scene(last):
     for ego_s in (RAMP.intersection_start - 60.0, 100.0, 150.0, 200.0):
         for ego_v in (8.0, 14.0, 20.0):
@@ -442,7 +441,7 @@ def test_shadowed_reaction_is_zero_without_a_rollout(monkeypatch):
     preds = predict(SceneState(others=others, graph=MERGE_GRAPH))
     follower = next(h for h in preds["veh1"] if h.route_id == "main")
     assert follower.leader is not None
-    option = BehaviorOption(BehaviorKind(MERGE, "veh2", 0),
+    option = BehaviorOption(BehaviorKind(MERGE, "veh2"),
                             _constant(lo_e - 10.0, RAMP.speed_limit))
     calls = []
     monkeypatch.setattr(arbiter, "rollout",

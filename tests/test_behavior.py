@@ -164,8 +164,11 @@ def test_missing_ego_route_raises():
 
 
 def test_kind_identity_and_formatting():
-    merge = BehaviorKind(MERGE, target_vehicle="veh1", hypothesis_index=0)
-    again = BehaviorKind(MERGE, target_vehicle="veh1", hypothesis_index=2)
-    assert merge.retention_key == again.retention_key
+    # one identity per (option, target vehicle), whichever hypothesis of
+    # that vehicle the option was built from
+    merge = BehaviorKind(MERGE, target_vehicle="veh1")
+    assert merge == BehaviorKind(MERGE, target_vehicle="veh1")
+    assert merge != BehaviorKind(MERGE, target_vehicle="veh2")
+    assert merge != BehaviorKind(FREE)
     assert str(merge) == "merge_behind(veh1)"
     assert str(BehaviorKind(FREE)) == FREE

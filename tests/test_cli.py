@@ -76,6 +76,24 @@ def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_negative_seed_is_an_input_error(tmp_path, capsys, command, source):
+    raw = tiny_scenario_dict()
+    if source == "file":
+        raw["seed"] = -1
+    path = write_scenario(tmp_path / "seed.json", raw)
+    out = tmp_path / "t.csv"
+    args = [command, str(path)]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    if command == "run":
+        args += ["--out", str(out)]
+    assert cli.main(args) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_writes_trace_and_summary(scenario_path, tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert cli.main(["run", scenario_path, "--out", str(out)]) == 0
@@ -146,6 +164,7 @@ def test_set_flag_overrides_parameters(scenario_path, tmp_path, capsys):
     # the planning step is SimConfig.sim_step; the vehicle length is fixed
     ("dt=0.1", "unknown parameter 'dt'"),
     ("vehicle_length=4.0", "unknown parameter 'vehicle_length'"),
+    ("dt_replan=0.13", "must be an integer multiple of sim_step"),
 ])
 def test_bad_parameters_exit_with_code_two(scenario_path, tmp_path, capsys,
                                            command, pair, why):

@@ -18,7 +18,7 @@ from crossplan import (
 )
 from crossplan.errors import HorizonMismatch, NonPositiveGap
 from crossplan.idm import (_GAP_EPS, A_LAT_MAX, HARD_DECEL, PROFILE_DECEL,
-                           VEHICLE_LENGTH, route_profile)
+                           VEHICLE_LENGTH, route_profile, stop_target)
 
 from scenes import circle_route, line_route, merge_scenario, t_junction_scenario
 
@@ -104,6 +104,18 @@ def test_rollout_rests_minimum_gap_before_stop_target():
     assert traj.v[-1] < 0.05
     assert 150.0 - p.s0 - 1.0 <= traj.s[-1] <= 150.0 - p.s0 + 0.05
     assert np.all(traj.v >= 0.0)
+
+
+def test_stop_target_is_the_entry_until_the_front_reaches_it():
+    ramp = line_route("ramp", (0.0, 0.0), (200.0, 0.0),
+                      intersection_start=80.0)
+    front = 0.5 * VEHICLE_LENGTH
+    assert stop_target(ramp, 0.0) == 80.0
+    assert stop_target(ramp, 80.0 - front - 0.01) == 80.0
+    assert stop_target(ramp, 80.0 - front) is None  # front exactly at the line
+    assert stop_target(ramp, 120.0) is None
+    assert stop_target(line_route("main", (0.0, 0.0), (200.0, 0.0)),
+                       0.0) is None  # no intersection on the route
 
 
 def test_rollout_converges_to_profile_speed():

@@ -1,11 +1,33 @@
-"""Every name a planner module imports is read somewhere in that module."""
+"""Import hygiene of the planner package: every name a planner module
+imports is read somewhere in that module, and importing the package pins
+the BLAS pools before numpy loads."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import crossplan
 
 PACKAGE = Path(crossplan.__file__).parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+# prints the BLAS variables as they are when numpy starts to load
+BLAS_SPY = """
+import json, os, sys
+seen = {}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v)) for v in %r)
+        return None
+sys.meta_path.insert(0, Spy())
+import crossplan
+print(json.dumps(seen))
+""" % (BLAS_VARS,)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +65,26 @@ def test_planner_modules_read_every_name_they_import():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def blas_env_at_numpy_load(preset: dict) -> dict:
+    """The BLAS variables numpy sees in a fresh process that imports
+    crossplan, started with none of them set but `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", BLAS_SPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_pins_blas_to_one_thread_before_numpy_loads():
+    assert blas_env_at_numpy_load({}) == {v: "1" for v in BLAS_VARS}
+
+
+def test_import_keeps_a_blas_thread_count_already_set():
+    seen = blas_env_at_numpy_load({"OPENBLAS_NUM_THREADS": "2"})
+    assert seen == {v: "2" if v == "OPENBLAS_NUM_THREADS" else "1"
+                    for v in BLAS_VARS}

@@ -7,11 +7,12 @@ from crossplan import (
     CartesianTrajectory,
     LongTrajectory,
     OptimizerWeights,
+    optimizer,
     reference_to_cartesian,
     solve,
 )
 from crossplan.errors import TooShort
-from crossplan.optimizer import N_FIXED, assemble_cost
+from crossplan.optimizer import N_FIXED, _stencils, assemble_cost
 
 from scenes import circle_route
 
@@ -177,15 +178,16 @@ def test_constrained_solve_respects_acceleration_limit():
             assert result.max_violation <= 1e-6
 
 
-def test_solve_reports_how_it_ended():
+def test_solve_reports_how_it_ended(monkeypatch):
     weights = OptimizerWeights(a_max=2.0)
     ref = _corner_reference(14.0)
     converged = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
                       weights)
     assert converged.status == "converged"
     assert converged.message.startswith("SLSQP exit 0")
+    monkeypatch.setattr(optimizer, "SQP_MAX_ITER", 3)
     stopped = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
-                    weights, max_iter=3)
+                    weights)
     assert stopped.status == "not_converged" and not stopped.converged
     assert stopped.iterations == 3
     assert stopped.message.startswith("SLSQP exit 9")  # iteration limit
@@ -239,6 +241,22 @@ def test_closed_form_with_a_wrong_factor_falls_back_to_the_reference(
 def _max_jerk(positions, dt):
     j = np.diff(positions, n=3, axis=0) / dt ** 3
     return float(np.max(np.hypot(j[:, 0], j[:, 1])))
+
+
+@pytest.mark.parametrize("n, dt", [(8, 0.05), (20, 0.1), (60, 0.05),
+                                   (61, 0.033)])
+def test_stencils_are_the_written_out_difference_rows(n, dt):
+    acc = np.zeros((n - 1 - N_FIXED, n))
+    for r, i in enumerate(range(N_FIXED, n - 1)):
+        acc[r, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / dt**2
+    jerk = np.zeros((n - 2 - N_FIXED, n))
+    snap = np.zeros((n - 2 - N_FIXED, n))
+    for r, i in enumerate(range(N_FIXED, n - 2)):
+        jerk[r, i - 2:i + 3] = (np.array([-1.0, 2.0, 0.0, -2.0, 1.0])
+                                / (2.0 * dt**3))
+        snap[r, i - 2:i + 3] = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dt**4
+    for got, want in zip(_stencils(n, dt), (acc, jerk, snap)):
+        assert np.array_equal(got, want)
 
 
 def test_solver_smooths_a_velocity_kink():

@@ -98,6 +98,7 @@ def test_each_override_key_lands_on_its_owner(key, layer):
     ({"n_opt": "3"}, "n_opt must be >= 8"),
     ({"n_ref": "50"}, "n_ref must be >= n_opt - 3"),
     ({"dt_replan": "0"}, "dt_replan must be positive"),
+    ({"dt_replan": "inf"}, "dt_replan must be positive and finite"),
 ])
 def test_bad_parameter_values_are_rejected_at_load_time(overrides, match):
     with pytest.raises(ScenarioError, match=match):
