@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NoEgoRoute
 from .geometry import ConflictZone, Route, RouteGraph
-from .idm import (DT, N_HORIZON, IdmParams, LongState, LongTrajectory,
+from .idm import (PROFILE_STEP, IdmParams, LongState, LongTrajectory,
                   SpeedProfile, rollout, route_profile, stop_target,
                   target_speed_profile)
 from .prediction import Hypothesis, PredictorParams
@@ -102,21 +102,20 @@ def _approach_profile(ego_route: Route, ego_state: LongState, v_target: float,
     """Speed over arc length reached by the ego free-driving toward the
     merge with the real leader's entry speed as curvature-adapted target."""
     base = target_speed_profile(ego_route, v_target)
-    step = 0.5
-    length = max(min(end_s, ego_route.length) - ego_state.s, step)
-    m = int(math.ceil(length / step)) + 2
+    length = max(min(end_s, ego_route.length) - ego_state.s, PROFILE_STEP)
+    m = int(math.ceil(length / PROFILE_STEP)) + 2
     v = np.empty(m)
     vv = max(ego_state.v, 0.0)
     a_idm, delta = params.a_idm, params.delta
     for i in range(m):
         v[i] = vv
-        v0 = max(base.v_at(ego_state.s + i * step), 0.1)
+        v0 = max(base.v_at(ego_state.s + i * PROFILE_STEP), 0.1)
         a = a_idm * (1.0 - (vv / v0) ** delta)  # free-road IDM
         # advance by one spatial step: v dv = a ds
-        vv = math.sqrt(max(vv * vv + 2.0 * a * step, 0.0))
+        vv = math.sqrt(max(vv * vv + 2.0 * a * PROFILE_STEP, 0.0))
         if vv < 0.1:
             vv = 0.1  # keep the profile positive so backward integration moves
-    return SpeedProfile(s0_grid=ego_state.s, ds=step, v=v)
+    return SpeedProfile(s0_grid=ego_state.s, ds=PROFILE_STEP, v=v)
 
 
 def generate_options(ego: LongState, ego_route: Route,
@@ -124,24 +123,23 @@ def generate_options(ego: LongState, ego_route: Route,
                      graph: RouteGraph,
                      idm_params: IdmParams = IdmParams(),
                      pred_params: PredictorParams = PredictorParams(),
-                     n_ref: int = N_HORIZON, dt: float = DT, t0: float = 0.0,
+                     t0: float = 0.0,
                      include_merge: bool = True) -> list[BehaviorOption]:
-    """Enumerate ego behavior options with N_ref-sample references."""
+    """Enumerate ego behavior options, each with a reference on the
+    planning grid."""
     if ego_route is None:
         raise NoEgoRoute("ego has no route")
     profile = route_profile(ego_route)
     options: list[BehaviorOption] = []
 
-    leader = _ego_route_leader(ego, ego_route.id, predictions, pred_params,
-                               n_ref)
-    free_ref = rollout(ego, profile, leader=leader, n=n_ref, dt=dt, t0=t0,
-                       params=idm_params)
+    leader = _ego_route_leader(ego, ego_route.id, predictions, pred_params)
+    free_ref = rollout(ego, profile, leader=leader, t0=t0, params=idm_params)
     options.append(BehaviorOption(kind=BehaviorKind(FREE), reference=free_ref))
 
     s_stop = stop_target(ego_route, ego.s)
     if s_stop is not None:
         stop_ref = rollout(ego, profile, leader=leader, stop_at=s_stop,
-                           n=n_ref, dt=dt, t0=t0, params=idm_params)
+                           t0=t0, params=idm_params)
         options.append(BehaviorOption(kind=BehaviorKind(STOP),
                                       reference=stop_ref))
 
@@ -158,8 +156,8 @@ def generate_options(ego: LongState, ego_route: Route,
                                           ego_route, ego, idm_params)
                 if vl is None:
                     continue
-                ref = rollout(ego, profile, leader=vl.trajectory, n=n_ref,
-                              dt=dt, t0=t0, params=idm_params)
+                ref = rollout(ego, profile, leader=vl.trajectory, t0=t0,
+                              params=idm_params)
                 merges.append(BehaviorOption(
                     kind=BehaviorKind(MERGE, target_vehicle=vid),
                     reference=ref, virtual_leader=vl))
@@ -171,8 +169,7 @@ def generate_options(ego: LongState, ego_route: Route,
 
 def _ego_route_leader(ego: LongState, route_id: str,
                       predictions: dict[str, list[Hypothesis]],
-                      pred_params: PredictorParams,
-                      n_ref: int) -> Optional[LongTrajectory]:
+                      pred_params: PredictorParams) -> Optional[LongTrajectory]:
     """Most likely trajectory of the closest predicted vehicle ahead of the
     ego on its own route."""
     best = None
@@ -189,6 +186,4 @@ def _ego_route_leader(ego: LongState, route_id: str,
         if s_now > ego.s and s_now < best_s:
             best_s = s_now
             best = top.trajectory
-    if best is not None and len(best) < n_ref:
-        return None
     return best

@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import PlanningError, ScenarioError
 from .scenario import Scenario, load_scenario
-from .simloop import (SimConfig, TraceRecord, collision_check,
-                      replan_interval, run)
+from .simloop import SimConfig, TraceRecord, collision_check, run
 
 EXIT_OK = 0
 EXIT_PLANNER = 1
@@ -31,9 +30,11 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario, overrides=_parse_sets(args.set),
                                  seed=args.seed)
-        replan_interval(scenario.params.dt_replan, SimConfig().sim_step)
-    except (ScenarioError, ValueError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.command == "run" and not Path(args.out).parent.is_dir():
+        print(f"error: --out {args.out}: no such directory", file=sys.stderr)
         return EXIT_INPUT
     try:
         if args.command == "check":

@@ -1,8 +1,9 @@
 """One place for every tunable parameter, overridable by key.
 
 Each layer's parameters live in that layer's dataclass; `PlannerParams`
-composes them and owns only the horizons, the replanning period and the
-merge-option switch. An override key names a field of exactly one of them.
+composes them and owns only the replanning period and the merge-option
+switch. An override key names a field of exactly one of them. The planning
+grid is fixed: `idm.N_HORIZON`, `idm.DT` and `optimizer.N_OPT`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .arbiter import ArbiterParams
-from .idm import N_HORIZON, IdmParams
-from .optimizer import N_OPT, OptimizerWeights
+from .idm import DT, IdmParams
+from .optimizer import OptimizerWeights
 from .prediction import PredictorParams
 
 
@@ -22,20 +23,21 @@ class PlannerParams:
     predictor: PredictorParams = field(default_factory=PredictorParams)
     arbiter: ArbiterParams = field(default_factory=ArbiterParams)
     optimizer: OptimizerWeights = field(default_factory=OptimizerWeights)
-    # horizons (samples of the simulation step) and replanning period
-    n_ref: int = N_HORIZON
-    n_opt: int = N_OPT
-    dt_replan: float = 0.2
+    dt_replan: float = 0.2  # s, a whole number of planning steps
     use_virtual_leader: bool = True
 
     def __post_init__(self):
-        if self.n_opt < 8:
-            raise ValueError("n_opt must be >= 8 (stencil minimum)")
-        if self.n_ref < self.n_opt - 3:
-            raise ValueError("n_ref must be >= n_opt - 3 so the reference "
-                             "covers every optimized sample")
         if not 0 < self.dt_replan < math.inf:  # NaN included
             raise ValueError("dt_replan must be positive and finite")
+        steps = self.replan_steps
+        if steps < 1 or abs(steps * DT - self.dt_replan) > 1e-9:
+            raise ValueError(f"dt_replan ({self.dt_replan}) must be an integer "
+                             f"multiple of the planning step ({DT})")
+
+    @property
+    def replan_steps(self) -> int:
+        """Planning steps per replanning cycle."""
+        return int(round(self.dt_replan / DT))
 
     def with_overrides(self, overrides: dict) -> "PlannerParams":
         """Apply key=value overrides, each to the dataclass that owns the
@@ -47,8 +49,8 @@ class PlannerParams:
                 raise ValueError(f"unknown parameter {key!r}")
             owner = owners[key]
             target = self if owner is None else getattr(self, owner)
-            changes.setdefault(owner, {})[key] = _coerce(getattr(target, key),
-                                                         value)
+            changes.setdefault(owner, {})[key] = _coerce(
+                key, getattr(target, key), value)
         own = changes.pop(None, {})
         for layer, clean in changes.items():
             own[layer] = replace(getattr(self, layer), **clean)
@@ -68,12 +70,15 @@ def _owners(params: PlannerParams) -> dict:
     return owners
 
 
-def _coerce(current, value):
+def _coerce(key: str, current, value):
+    """`value` as the type of the key's current value; every parameter is
+    a bool or a finite float."""
     if isinstance(current, bool):
         return _as_bool(value)
-    if isinstance(current, int):
-        return int(value)
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _as_bool(value) -> bool:

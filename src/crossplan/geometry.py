@@ -149,8 +149,9 @@ class Route:
 
     def __post_init__(self):
         # the IDM divides by the target speed, which the limit caps
-        if not self.speed_limit > 0.0:
-            raise ValueError(f"route {self.id!r}: speed_limit must be positive")
+        if not 0.0 < self.speed_limit < math.inf:
+            raise ValueError(f"route {self.id!r}: speed_limit must be positive "
+                             "and finite")
         if self.intersection_start is not None:
             if not 0.0 <= self.intersection_start <= self.centerline.length:
                 raise ValueError("intersection_start outside route arc range")

@@ -87,20 +87,20 @@ class NlpResult:
 
 
 def reference_to_cartesian(reference: LongTrajectory, route: Route,
-                           prefix: np.ndarray, d: float,
-                           n_opt: int = N_OPT) -> CartesianTrajectory:
-    """The optimizer's reference: the executed prefix, then reference
-    samples 1..n_opt-4 on the route (sample 0 is the prefix's last point),
-    offset laterally by d at the first and decaying linearly to 0 at the
-    last, so the reference stays continuous with the prefix."""
-    if len(reference) < n_opt - N_FIXED + 1:
+                           prefix: np.ndarray, d: float) -> CartesianTrajectory:
+    """The optimizer's N_OPT-sample reference: the executed prefix, then
+    reference samples 1..N_OPT-4 on the route (sample 0 is the prefix's last
+    point), offset laterally by d at the first and decaying linearly to 0 at
+    the last, so the reference stays continuous with the prefix."""
+    free = N_OPT - N_FIXED
+    if len(reference) < free + 1:
         raise TooShort(f"reference has {len(reference)} samples, need "
-                       f"{n_opt - N_FIXED + 1}")
-    decay = 1.0 - np.arange(n_opt - N_FIXED) / (n_opt - N_FIXED - 1)
-    ref_xy = np.empty((n_opt, 2))
+                       f"{free + 1}")
+    decay = 1.0 - np.arange(free) / (free - 1)
+    ref_xy = np.empty((N_OPT, 2))
     ref_xy[:N_FIXED] = prefix
     ref_xy[N_FIXED:] = route.centerline.points_at(
-        reference.s[1:n_opt - N_FIXED + 1], d * decay, extrapolate=True)
+        reference.s[1:free + 1], d * decay, extrapolate=True)
     return CartesianTrajectory(ref_xy, dt=reference.dt,
                                t0=reference.t0 - (N_FIXED - 1) * reference.dt)
 

@@ -12,9 +12,8 @@ import numpy as np
 from .errors import NoCandidateRoute
 from .geometry import (ConflictZone, FrenetPose, Route, RouteGraph,
                        normalize_angle)
-from .idm import (DT, N_HORIZON, IdmParams, LongState, LongTrajectory,
-                  SpeedProfile, VEHICLE_LENGTH, rollout, route_profile,
-                  stop_target)
+from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
+                  VEHICLE_LENGTH, rollout, route_profile, stop_target)
 
 # corridor bounds that qualify a route as a candidate for a vehicle
 CANDIDATE_D_MAX = 3.0
@@ -72,7 +71,7 @@ class Hypothesis:
     """One (route, maneuver) prediction of a vehicle with its rollout.
 
     Invariant: `trajectory` is `rollout(start, profile, leader, stop_at)`
-    on the prediction grid (n, dt) with the prediction's `IdmParams`, so
+    on the planning grid with the prediction's `IdmParams`, so
     re-simulating it from this context with the same parameters reproduces
     it bit for bit. The arbiter relies on this to skip reactions whose
     binding leader would not change.
@@ -173,8 +172,7 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
     return params.lambda1 if occupied else params.lambda2
 
 
-def predict(scene: SceneState, n: int = N_HORIZON, dt: float = DT,
-            idm_params: IdmParams = IdmParams(),
+def predict(scene: SceneState, idm_params: IdmParams = IdmParams(),
             params: PredictorParams = PredictorParams()) -> dict[str, list[Hypothesis]]:
     """Hypothesis sets for every non-ego vehicle; probabilities sum to 1."""
     graph = scene.graph
@@ -195,7 +193,7 @@ def predict(scene: SceneState, n: int = N_HORIZON, dt: float = DT,
             continue
         rid = max(beliefs[veh.id], key=lambda r: (beliefs[veh.id][r], r))
         route = graph.routes[rid]
-        traj = rollout(poses[veh.id][rid], route_profile(route), n=n, dt=dt,
+        traj = rollout(poses[veh.id][rid], route_profile(route),
                        t0=scene.time, params=idm_params)
         base[veh.id] = (rid, traj)
 
@@ -216,8 +214,8 @@ def predict(scene: SceneState, n: int = N_HORIZON, dt: float = DT,
             if leader is None and base[veh.id][0] == rid:
                 drive_traj = base[veh.id][1]  # the same rollout inputs
             else:
-                drive_traj = rollout(start, profile, leader=leader, n=n,
-                                     dt=dt, t0=scene.time, params=idm_params)
+                drive_traj = rollout(start, profile, leader=leader,
+                                     t0=scene.time, params=idm_params)
             prioritized = [base[o.id] for o in scene.others
                            if o.id != veh.id and o.id in base
                            and graph.has_priority_over(base[o.id][0], rid)]
@@ -230,7 +228,7 @@ def predict(scene: SceneState, n: int = N_HORIZON, dt: float = DT,
             s_stop = stop_target(route, start.s)
             if s_stop is not None and p_drive < 1.0:
                 stop_traj = rollout(start, profile, leader=leader,
-                                    stop_at=s_stop, n=n, dt=dt, t0=scene.time,
+                                    stop_at=s_stop, t0=scene.time,
                                     params=idm_params)
                 hypotheses.append(Hypothesis(
                     route_id=rid, maneuver=STOP, trajectory=stop_traj,

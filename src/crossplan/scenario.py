@@ -48,7 +48,7 @@ def load_scenario(path, overrides: dict | None = None,
     malformed or inconsistent content."""
     try:
         raw = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
@@ -77,8 +77,8 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         ego_s, ego_v = float(ego["s"]), float(ego["v"])
         if not 0.0 <= ego_s <= graph.routes[ego_route_id].length:
             raise ScenarioError("ego: s off route")
-        if not ego_v >= 0.0:
-            raise ScenarioError("ego: negative speed")
+        if not 0.0 <= ego_v < math.inf:  # NaN included
+            raise ScenarioError("ego: negative speed or not finite")
         duration = float(_require(raw, "duration"))
         if not 0.0 <= duration < math.inf:
             raise ScenarioError("duration must be finite and >= 0")
@@ -92,8 +92,9 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
                                     f"{spec.route_id!r}")
             if not 0.0 <= spec.s <= graph.routes[spec.route_id].length:
                 raise ScenarioError(f"vehicle {spec.id}: s off route")
-            if not spec.v >= 0.0:  # NaN included
-                raise ScenarioError(f"vehicle {spec.id}: negative speed")
+            if not 0.0 <= spec.v < math.inf:  # NaN included
+                raise ScenarioError(f"vehicle {spec.id}: negative speed or "
+                                    "not finite")
             if spec.agent not in (DOUBLE_INTEGRATOR, IDM_AGENT):
                 raise ScenarioError(f"vehicle {spec.id}: unknown agent kind "
                                     f"{spec.agent!r}")
@@ -103,7 +104,10 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         seed = int(seed if seed is not None else raw.get("seed", 0))
         if seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ScenarioError(f"seed must be >= 0, got {seed}")
-        params = PlannerParams().with_overrides(raw.get("params", {}))
+        block = raw.get("params", {})
+        if not isinstance(block, dict):
+            raise ScenarioError("params must be a JSON object")
+        params = PlannerParams().with_overrides(block)
         if overrides:
             params = params.with_overrides(overrides)
         return Scenario(
@@ -119,7 +123,7 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 

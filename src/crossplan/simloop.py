@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -14,18 +14,17 @@ from . import arbiter, behavior, optimizer, prediction
 from .behavior import BehaviorKind
 from .geometry import Route, project_to_route
 from .idm import DT, VEHICLE_LENGTH, LongState, idm_acceleration
+from .optimizer import N_OPT
 from .scenario import IDM_AGENT, Scenario
 from .prediction import SceneState, VehicleState
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    sim_step: float = DT
+    # the plan is executed one sample per step, so the step is the planning
+    # grid's and cannot be set
+    sim_step: ClassVar[float] = DT
     duration: Optional[float] = None  # defaults to the scenario's
-
-    def __post_init__(self):
-        if self.sim_step <= 0:
-            raise ValueError("sim_step must be positive")
 
 
 @dataclass
@@ -56,33 +55,22 @@ class _Agent:
         self.s = spec.s
         self.v = spec.v
 
-    def step(self, dt: float, leader_gap: Optional[float] = None,
-             leader_dv: float = 0.0, idm_params=None):
-        if self.spec.agent == IDM_AGENT and idm_params is not None:
+    def step(self, leader_gap: Optional[float], leader_dv: float, idm_params):
+        if self.spec.agent == IDM_AGENT:
             gap = leader_gap if leader_gap is not None and leader_gap > 0.1 else None
             a = idm_acceleration(self.v, self.route.speed_limit, gap,
                                  leader_dv if gap is not None else None,
                                  idm_params)
         else:
             a = self.rng.uniform(-1.0, 1.0)
-        self.s += self.v * dt
-        self.v = max(self.v + a * dt, 0.0)
+        self.s += self.v * DT
+        self.v = max(self.v + a * DT, 0.0)
 
     def state(self) -> VehicleState:
         pos = self.route.centerline.point_at(self.s, extrapolate=True)
         heading = self.route.centerline.heading_at(min(self.s, self.route.length))
         return VehicleState(id=self.spec.id, position=pos, heading=heading,
                             speed=self.v)
-
-
-def replan_interval(dt_replan: float, sim_step: float) -> int:
-    """Simulation steps per planning cycle; ValueError unless `dt_replan`
-    is a whole, positive multiple of `sim_step`."""
-    every = int(round(dt_replan / sim_step))
-    if every < 1 or abs(every * sim_step - dt_replan) > 1e-9:
-        raise ValueError(f"dt_replan ({dt_replan}) must be an integer "
-                         f"multiple of sim_step ({sim_step})")
-    return every
 
 
 def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord]:
@@ -92,14 +80,12 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
     agents' random motion comes from the scenario's seed.
     """
     params = scenario.params
-    dt = config.sim_step
     duration = config.duration if config.duration is not None else scenario.duration
-    steps = int(round(duration / dt))
-    replan_every = replan_interval(params.dt_replan, dt)
+    steps = int(round(duration / DT))
+    replan_every = params.replan_steps
 
     graph = scenario.graph
     ego_route = scenario.ego_route
-    n_opt = params.n_opt
 
     seq = np.random.SeedSequence(scenario.seed)
     children = seq.spawn(max(len(scenario.vehicles), 1))
@@ -111,19 +97,18 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
     ego_pos = ego_route.centerline.point_at(scenario.ego_s)
     heading = ego_route.centerline.heading_at(scenario.ego_s)
     v_vec = scenario.ego_v * np.array([math.cos(heading), math.sin(heading)])
-    plan = np.array([ego_pos + v_vec * (k - 3) * dt for k in range(n_opt)])
+    plan = np.array([ego_pos + v_vec * (k - 3) * DT for k in range(N_OPT)])
     plan_idx = 3
     last_kind: Optional[BehaviorKind] = None
     last_solve = (True, "")  # (converged, status) of the plan being executed
 
     records: list[TraceRecord] = []
     for i in range(steps + 1):
-        t = i * dt
+        t = i * DT
         if i % replan_every == 0 and i < steps:
             tic = _time.perf_counter()
             plan, last_kind, costs, result = _replan(
-                plan, plan_idx, t, dt, agents, graph, ego_route, params,
-                last_kind)
+                plan, plan_idx, t, agents, graph, ego_route, params, last_kind)
             last_solve = (result.converged, result.status)
             plan_idx = 3
             plan_ms = (_time.perf_counter() - tic) * 1e3
@@ -131,13 +116,12 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
             plan_ms = 0.0
             costs = records[-1].option_costs if records else {}
 
-        records.append(_record(t, plan, plan_idx, dt, ego_route, agents,
+        records.append(_record(t, plan, plan_idx, ego_route, agents,
                                last_kind, costs, plan_ms, *last_solve))
 
         if i < steps:
             for agent in agents:
-                agent.step(dt, *_agent_leader(agent, agents),
-                           idm_params=params.idm)
+                agent.step(*_agent_leader(agent, agents), params.idm)
             plan_idx += 1
     return records
 
@@ -157,25 +141,22 @@ def _agent_leader(agent: _Agent, agents: list[_Agent]):
     return (best_gap, best_dv)
 
 
-def _replan(plan, plan_idx, t, dt, agents, graph, ego_route, params,
-            last_kind):
-    """One planning cycle on the simulation's time grid: `dt` is the step
-    of the executed plan and of every prediction and reference."""
+def _replan(plan, plan_idx, t, agents, graph, ego_route, params, last_kind):
+    """One planning cycle; the executed plan, every prediction and every
+    reference share the planning grid."""
     idm_params = params.idm
-    v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * dt)
+    v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * DT)
     speed = float(np.hypot(*v_vec))
     # only the pose's s and d are read; neither depends on the heading
     pose = project_to_route(plan[plan_idx], 0.0, ego_route)
     scene = SceneState(others=[a.state() for a in agents], graph=graph,
                        time=t)
-    predictions = prediction.predict(scene, n=params.n_ref, dt=dt,
-                                     idm_params=idm_params,
+    predictions = prediction.predict(scene, idm_params=idm_params,
                                      params=params.predictor)
     ego_long = LongState(pose.s, speed)
     options = behavior.generate_options(
         ego_long, ego_route, predictions, graph, idm_params, params.predictor,
-        n_ref=params.n_ref, dt=dt, t0=t,
-        include_merge=params.use_virtual_leader)
+        t0=t, include_merge=params.use_virtual_leader)
     scored = arbiter.score_options(options, predictions, ego_route, graph,
                                    last_kind, idm_params, params.arbiter)
     selected = arbiter.select(scored, last_kind)
@@ -185,16 +166,16 @@ def _replan(plan, plan_idx, t, dt, agents, graph, ego_route, params,
     # the executed history
     prefix = plan[plan_idx - 3:plan_idx + 1].copy()
     ref_traj = optimizer.reference_to_cartesian(
-        selected.reference, ego_route, prefix, pose.d, params.n_opt)
+        selected.reference, ego_route, prefix, pose.d)
     result = optimizer.solve(ref_traj, prefix, params.optimizer)
     return result.trajectory.positions, selected.kind, costs, result
 
 
-def _record(t, plan, plan_idx, dt, ego_route, agents, last_kind, costs,
+def _record(t, plan, plan_idx, ego_route, agents, last_kind, costs,
             plan_ms, converged, solver_status) -> TraceRecord:
     p = plan[plan_idx]
-    v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * dt)
-    a_vec = (plan[plan_idx + 1] - 2.0 * plan[plan_idx] + plan[plan_idx - 1]) / dt**2
+    v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * DT)
+    a_vec = (plan[plan_idx + 1] - 2.0 * plan[plan_idx] + plan[plan_idx - 1]) / DT**2
     speed = float(np.hypot(*v_vec))
     if speed > 1e-6:
         tangent = v_vec / speed

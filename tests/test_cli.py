@@ -64,9 +64,23 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
     (lambda raw: raw["vehicles"].append(
         {"id": "a", "route": "main", "s": 5.0, "v": math.nan}),
      "vehicle a: negative speed"),
+    (lambda raw: raw["ego"].update(v=math.inf), "ego: negative speed"),
+    (lambda raw: raw["vehicles"].append(
+        {"id": "a", "route": "main", "s": 5.0, "v": math.inf}),
+     "vehicle a: negative speed"),
+    (lambda raw: raw.update(params={"a_idm": math.nan}),
+     "a_idm must be finite"),
+    (lambda raw: raw.update(params=None), "params must be a JSON object"),
+    (lambda raw: raw.update(params=[["w_c", 2.0]]),
+     "params must be a JSON object"),
+    (lambda raw: raw["routes"][1].update(speed_limit=math.inf),
+     "speed_limit must be positive and finite"),
+    (lambda raw: raw.update(seed=math.inf), "malformed scenario"),
 ], ids=["negative_duration", "nan_duration", "ego_off_route",
         "negative_ego_speed", "negative_dt_inter", "zero_lambda",
-        "nan_vehicle_speed"])
+        "nan_vehicle_speed", "infinite_ego_speed", "infinite_vehicle_speed",
+        "nan_param", "null_params", "list_params", "infinite_speed_limit",
+        "infinite_seed"])
 def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
                                            message):
     raw = tiny_scenario_dict()
@@ -160,11 +174,19 @@ def test_set_flag_overrides_parameters(scenario_path, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["check", "run"])
 @pytest.mark.parametrize("pair,why", [
     ("a_idm=-1", "a_idm must be positive"),
-    ("n_opt=3", "n_opt must be >= 8"),
-    # the planning step is SimConfig.sim_step; the vehicle length is fixed
+    # the planning grid and the vehicle length are fixed
+    ("n_opt=3", "unknown parameter 'n_opt'"),
+    ("n_ref=50", "unknown parameter 'n_ref'"),
     ("dt=0.1", "unknown parameter 'dt'"),
     ("vehicle_length=4.0", "unknown parameter 'vehicle_length'"),
-    ("dt_replan=0.13", "must be an integer multiple of sim_step"),
+    ("dt_replan=0.13", "must be an integer multiple of the planning step"),
+    # no key takes a value that is not finite
+    ("a_idm=nan", "a_idm must be finite"),
+    ("T=inf", "T must be finite"),
+    ("w_acc=nan", "w_acc must be finite"),
+    ("w_c=nan", "w_c must be finite"),
+    ("a_max=nan", "a_max must be finite"),
+    ("sigma_d=nan", "sigma_d must be finite"),
 ])
 def test_bad_parameters_exit_with_code_two(scenario_path, tmp_path, capsys,
                                            command, pair, why):
@@ -177,6 +199,20 @@ def test_bad_parameters_exit_with_code_two(scenario_path, tmp_path, capsys,
     assert err.startswith("error:")
     assert why in err
     assert not out.exists()
+
+
+def test_run_checks_the_output_directory_before_simulating(
+        scenario_path, tmp_path, monkeypatch, capsys):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "run", simulate)
+    out = tmp_path / "missing" / "t.csv"
+    assert cli.main(["run", scenario_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "no such directory" in err
+    assert not out.parent.exists()
 
 
 def test_planner_errors_exit_with_code_one(scenario_path, monkeypatch, capsys):

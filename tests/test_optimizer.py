@@ -12,7 +12,7 @@ from crossplan import (
     solve,
 )
 from crossplan.errors import TooShort
-from crossplan.optimizer import N_FIXED, _stencils, assemble_cost
+from crossplan.optimizer import N_FIXED, N_OPT, _stencils, assemble_cost
 
 from scenes import circle_route
 
@@ -326,16 +326,16 @@ def test_reference_to_cartesian_follows_the_route():
     d = 0.4
     prefix = np.array([route.centerline.point_at(10.0 + 12.0 * k * DT, d)
                        for k in range(-3, 1)])
-    traj = reference_to_cartesian(ref, route, prefix, d, n_opt=N)
-    assert len(traj) == N
+    traj = reference_to_cartesian(ref, route, prefix, d)
+    assert len(traj) == N_OPT
     assert traj.t0 == pytest.approx(2.0 - 3 * DT)
     assert np.array_equal(traj.positions[:N_FIXED], prefix)
     # plan sample k is reference sample k - 3, its offset falling from d at
     # the first free sample to 0 at the last
-    for k, offset in ((N_FIXED, d), (31, d * (1.0 - 27 / (N - 5))),
-                      (N - 1, 0.0)):
+    for k, offset in ((N_FIXED, d), (31, d * (1.0 - 27 / (N_OPT - 5))),
+                      (N_OPT - 1, 0.0)):
         want = route.centerline.point_at(float(ref.s[k - 3]), offset)
         assert np.allclose(traj.positions[k], want, atol=1e-9)
-    short = LongTrajectory(ref.s[:N - 4], ref.v[:N - 4], DT)
+    short = LongTrajectory(ref.s[:N_OPT - 4], ref.v[:N_OPT - 4], DT)
     with pytest.raises(TooShort):
-        reference_to_cartesian(short, route, prefix, d, n_opt=N)
+        reference_to_cartesian(short, route, prefix, d)

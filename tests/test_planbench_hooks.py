@@ -2,10 +2,11 @@
 still exist and are still called, so a planner change that breaks the
 benchmark's hooks fails here rather than only in a benchmark run."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
-from crossplan import SimConfig, load_scenario, run
+from crossplan import SimConfig, idm, load_scenario, run
 
 from scenes import T_JUNCTION_SCENARIO
 
@@ -16,10 +17,14 @@ import tracer  # noqa: E402
 
 
 def test_planbench_hooks_see_every_layer():
+    # planbench/run.py reads the step as `config.sim_step` and shortens its
+    # warm-up with `dataclasses.replace(config, duration=...)`
+    config = dataclasses.replace(SimConfig(), duration=8.0)
+    assert SimConfig().sim_step == config.sim_step == idm.DT
     # a_max=2 binds in the left turn, so SLSQP runs (as in tjunction_comfort)
     sc = load_scenario(T_JUNCTION_SCENARIO, overrides={"a_max": "2.0"})
     with capture.Recorder() as recorder, tracer.Tracer() as spans:
-        run(sc, SimConfig(duration=8.0))
+        run(sc, config)
     problems, summary = recorder.verify()
     assert problems == [], summary
     assert all(recorder.rollouts.values()), {

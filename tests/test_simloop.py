@@ -10,10 +10,11 @@ from crossplan import (
     run,
     scenario_from_dict,
 )
+from crossplan.errors import ScenarioError
 from crossplan.idm import VEHICLE_LENGTH
 from crossplan.scenario import DOUBLE_INTEGRATOR, IDM_AGENT
 
-from scenes import merge_scenario, tiny_scenario_dict
+from scenes import tiny_scenario_dict
 
 VEHICLES = [{"id": "a", "route": "main", "s": 5.0, "v": 12.0},
             {"id": "b", "route": "main", "s": 40.0, "v": 11.0}]
@@ -70,13 +71,15 @@ def test_replanning_keeps_the_executed_trajectory_continuous():
 
 
 def test_replan_cadence_must_align_with_the_sim_step():
-    sc = _tiny()
-    bad = scenario_from_dict(
-        tiny_scenario_dict(duration=1.0, vehicles=VEHICLES),
-        overrides={"dt_replan": "0.13"})
-    with pytest.raises(ValueError):
-        run(bad, SimConfig())
-    assert run(sc, SimConfig())  # the default cadence is fine
+    raw = tiny_scenario_dict(duration=1.0, vehicles=VEHICLES)
+    # a cadence off the planning grid is rejected when the scenario loads
+    with pytest.raises(ScenarioError, match="integer multiple"):
+        scenario_from_dict(raw, overrides={"dt_replan": "0.13"})
+    # a whole number of steps sets the cycle: 0.4 s is every 8th step
+    slow = scenario_from_dict(raw, overrides={"dt_replan": "0.4"})
+    assert slow.params.replan_steps == 8
+    planned = [r.t for r in run(slow, SimConfig()) if r.plan_ms > 0.0]
+    assert planned == pytest.approx([0.0, 0.4, 0.8])
 
 
 def test_plan_timing_recorded_on_replan_ticks():
@@ -85,11 +88,6 @@ def test_plan_timing_recorded_on_replan_ticks():
     # 0.2 s cadence on a 1 s run: at least 4 planning cycles
     assert len(planned) >= 4
     assert all(r.selected for r in trace)
-
-
-def test_sim_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(sim_step=0.0)
 
 
 def _record(t, ego_s, vehicles):
@@ -145,12 +143,3 @@ def test_idm_agent_keeps_a_gap_behind_a_slow_vehicle():
     assert v_end < 5.0  # it braked down to the slow vehicle's speed
     # a double integrator in the same place drives into the slow vehicle
     assert min(follower_gaps(DOUBLE_INTEGRATOR)[0]) < 0.0
-
-
-def test_sim_step_is_the_planning_step():
-    # the plan is executed one sample per sim step, so a coarser sim step
-    # must not rescale the executed plan in time
-    final = {step: run(merge_scenario(seed=0),
-                       SimConfig(sim_step=step, duration=8.0))[-1].ego_v
-             for step in (0.05, 0.1)}
-    assert abs(final[0.1] - final[0.05]) < 1.0
