@@ -22,9 +22,8 @@ from .idm import (IdmParams, LongState, LongTrajectory, SpeedProfile,
                   idm_acceleration, rollout, target_speed_profile)
 from .optimizer import (CartesianTrajectory, NlpResult, OptimizerWeights,
                         reference_to_cartesian, solve)
-from .prediction import (Hypothesis, PredictorParams, SceneState,
-                         VehicleState, drive_probability, predict,
-                         route_belief)
+from .prediction import (Hypothesis, PredictorParams, VehicleState,
+                         drive_probability, predict, route_belief)
 from .scenario import Scenario, VehicleSpec, load_scenario, scenario_from_dict
 from .simloop import SimConfig, TraceRecord, collision_check, run
 
@@ -35,7 +34,7 @@ __all__ = [
     "ConflictZone", "FrenetPose", "Hypothesis", "IdmParams", "LongState",
     "LongTrajectory", "NlpResult", "OptimizerWeights", "PlannerParams",
     "PlanningError", "Polyline", "PredictorParams", "Route", "RouteGraph",
-    "ScenarioError", "Scenario", "SceneState", "ScoredOption", "SimConfig",
+    "ScenarioError", "Scenario", "ScoredOption", "SimConfig",
     "SpeedProfile", "TraceRecord", "VehicleSpec", "VehicleState",
     "VirtualLeader", "build_virtual_leader",
     "collision_check", "compute_conflict_zone", "drive_probability",

@@ -75,7 +75,9 @@ def merge_courtesy(option: BehaviorOption, follower: Hypothesis,
     """
     ref = option.reference
     enter = ref.first_index_reaching(zone.start[ego_route.id])
-    if enter is not None and enter > 0:
+    if enter is None:
+        return 0.0  # ego never enters the shared lane within the horizon
+    if enter > 0:
         other = follower.trajectory.first_index_reaching(
             zone.start[follower.route_id])
         if other is not None and other > 0:
@@ -83,7 +85,7 @@ def merge_courtesy(option: BehaviorOption, follower: Hypothesis,
             h = params.h_ttc_const if same_as_last else -params.h_ttc_const
             if margin + h < params.dt_max:
                 return math.inf
-    delta_a = _follower_disturbance(option, follower, ego_route, zone,
+    delta_a = _follower_disturbance(option, follower, enter, ego_route, zone,
                                     idm_params)
     if delta_a <= 0.0:
         return 0.0
@@ -93,14 +95,13 @@ def merge_courtesy(option: BehaviorOption, follower: Hypothesis,
 
 
 def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
-                          ego_route: Route, zone: ConflictZone,
+                          enter: int, ego_route: Route, zone: ConflictZone,
                           idm_params: IdmParams) -> float:
+    """The follower's mean |a - a_react| (inf for a cut-in) when the ego
+    reference enters the shared lane at sample `enter`."""
     ref = option.reference
     s_m_ego = zone.start[ego_route.id]
     s_m_f = zone.start[follower.route_id]
-    enter = ref.first_index_reaching(s_m_ego)
-    if enter is None:
-        return 0.0  # ego never enters the shared lane within the horizon
     # ego reference mapped onto the follower's arc length; before entry the
     # ego is irrelevant (parked far ahead) so the follower drives its plan
     n = len(ref)
@@ -127,10 +128,10 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
         # reproduce the planned trajectory exactly (the `Hypothesis`
         # invariant, with the prediction's IdmParams).
         return 0.0
-    ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt, t0=ref.t0)
+    ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt)
     react = rollout(follower.start, follower.profile,
                     leader=_min_leader(follower.leader, ego_as_leader),
-                    stop_at=follower.stop_at, n=n, dt=ref.dt, t0=ref.t0,
+                    stop_at=follower.stop_at, n=n, dt=ref.dt,
                     params=idm_params)
     a_plan = follower.trajectory.accelerations()
     a_react = react.accelerations()
@@ -146,7 +147,7 @@ def _min_leader(a: Optional[LongTrajectory],
     s = np.minimum(a.s[:n], b.s[:n])
     pick_a = a.s[:n] <= b.s[:n]
     v = np.where(pick_a, a.v[:n], b.v[:n])
-    return LongTrajectory(s, v, dt=b.dt, t0=b.t0)
+    return LongTrajectory(s, v, dt=b.dt)
 
 
 def crossing_courtesy(option: BehaviorOption, crosser: Hypothesis,

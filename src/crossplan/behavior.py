@@ -38,7 +38,7 @@ class BehaviorKind:
 @dataclass
 class VirtualLeader:
     trajectory: LongTrajectory  # on ego-route arc length
-    merge_time: float
+    merge_index: int  # sample at which the real leader reaches the merge
 
 
 @dataclass
@@ -73,7 +73,6 @@ def build_virtual_leader(rl_traj: LongTrajectory, rl_route_id: str,
     n = len(rl_traj)
     dt = rl_traj.dt
     v_rl = float(rl_traj.v[k_merge])
-    t_merge = rl_traj.t0 + k_merge * dt
 
     s_vl = np.empty(n)
     v_vl = np.empty(n)
@@ -93,8 +92,7 @@ def build_virtual_leader(rl_traj: LongTrajectory, rl_route_id: str,
             s_vl[k] = s
             v_vl[k] = v_here
 
-    traj = LongTrajectory(s_vl, v_vl, dt=dt, t0=rl_traj.t0)
-    return VirtualLeader(trajectory=traj, merge_time=t_merge)
+    return VirtualLeader(LongTrajectory(s_vl, v_vl, dt=dt), k_merge)
 
 
 def _approach_profile(ego_route: Route, ego_state: LongState, v_target: float,
@@ -123,7 +121,6 @@ def generate_options(ego: LongState, ego_route: Route,
                      graph: RouteGraph,
                      idm_params: IdmParams = IdmParams(),
                      pred_params: PredictorParams = PredictorParams(),
-                     t0: float = 0.0,
                      include_merge: bool = True) -> list[BehaviorOption]:
     """Enumerate ego behavior options, each with a reference on the
     planning grid."""
@@ -133,13 +130,13 @@ def generate_options(ego: LongState, ego_route: Route,
     options: list[BehaviorOption] = []
 
     leader = _ego_route_leader(ego, ego_route.id, predictions, pred_params)
-    free_ref = rollout(ego, profile, leader=leader, t0=t0, params=idm_params)
+    free_ref = rollout(ego, profile, leader=leader, params=idm_params)
     options.append(BehaviorOption(kind=BehaviorKind(FREE), reference=free_ref))
 
     s_stop = stop_target(ego_route, ego.s)
     if s_stop is not None:
         stop_ref = rollout(ego, profile, leader=leader, stop_at=s_stop,
-                           t0=t0, params=idm_params)
+                           params=idm_params)
         options.append(BehaviorOption(kind=BehaviorKind(STOP),
                                       reference=stop_ref))
 
@@ -156,12 +153,12 @@ def generate_options(ego: LongState, ego_route: Route,
                                           ego_route, ego, idm_params)
                 if vl is None:
                     continue
-                ref = rollout(ego, profile, leader=vl.trajectory, t0=t0,
+                ref = rollout(ego, profile, leader=vl.trajectory,
                               params=idm_params)
                 merges.append(BehaviorOption(
                     kind=BehaviorKind(MERGE, target_vehicle=vid),
                     reference=ref, virtual_leader=vl))
-        merges.sort(key=lambda o: (o.virtual_leader.merge_time,
+        merges.sort(key=lambda o: (o.virtual_leader.merge_index,
                                    o.kind.target_vehicle))
         options.extend(merges)
     return options

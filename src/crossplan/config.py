@@ -72,9 +72,11 @@ def _owners(params: PlannerParams) -> dict:
 
 def _coerce(key: str, current, value):
     """`value` as the type of the key's current value; every parameter is
-    a bool or a finite float."""
+    a bool or a finite float, and a bool is not a float."""
     if isinstance(current, bool):
         return _as_bool(value)
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{key} must be finite, got {value!r}")

@@ -50,7 +50,6 @@ class OptimizerWeights:
 class CartesianTrajectory:
     positions: np.ndarray  # (N, 2)
     dt: float
-    t0: float = 0.0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -101,8 +100,7 @@ def reference_to_cartesian(reference: LongTrajectory, route: Route,
     ref_xy[:N_FIXED] = prefix
     ref_xy[N_FIXED:] = route.centerline.points_at(
         reference.s[1:free + 1], d * decay, extrapolate=True)
-    return CartesianTrajectory(ref_xy, dt=reference.dt,
-                               t0=reference.t0 - (N_FIXED - 1) * reference.dt)
+    return CartesianTrajectory(ref_xy, dt=reference.dt)
 
 
 @lru_cache(maxsize=16)
@@ -213,7 +211,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     def fallback(iterations: int, message: str) -> NlpResult:
         # never return something worse than the plain reference
         viol_ref = _max_violation(x_ref, dt, a2max)
-        return NlpResult(CartesianTrajectory(x_ref, dt=dt, t0=reference.t0),
+        return NlpResult(CartesianTrajectory(x_ref, dt=dt),
                          converged=False, iterations=iterations,
                          cost=cost_ref, max_violation=max(viol_ref, 0.0),
                          status="reference_fallback", message=message)
@@ -225,7 +223,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
         cost_cf, _ = assemble_cost(x, ref, weights, dt)
         if not cost_cf <= cost_ref + 1e-9:
             return fallback(1, "closed form above the reference cost")
-        return NlpResult(CartesianTrajectory(x, dt=dt, t0=reference.t0),
+        return NlpResult(CartesianTrajectory(x, dt=dt),
                          converged=True, iterations=1, cost=cost_cf,
                          max_violation=max(viol, 0.0), status="closed_form")
 
@@ -239,7 +237,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
     tangential = (a_mid * v_mid).sum(axis=1) / speed
     if float(tangential.min()) < -(weights.a_max + 0.25):
-        return NlpResult(CartesianTrajectory(x, dt=dt, t0=reference.t0),
+        return NlpResult(CartesianTrajectory(x, dt=dt),
                          converged=False, iterations=1, cost=cost,
                          max_violation=max(viol, 0.0),
                          status="braking_bypass")
@@ -279,7 +277,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
         return fallback(int(res.nit), message)
     viol_out = _max_violation(x_out, dt, a2max)
     converged = bool(res.success) and viol_out <= 1e-6
-    return NlpResult(CartesianTrajectory(x_out, dt=dt, t0=reference.t0),
+    return NlpResult(CartesianTrajectory(x_out, dt=dt),
                      converged=converged, iterations=int(res.nit),
                      cost=cost_out, max_violation=max(viol_out, 0.0),
                      status="converged" if converged else "not_converged",

@@ -60,13 +60,6 @@ class VehicleState:
 
 
 @dataclass
-class SceneState:
-    others: list
-    graph: RouteGraph
-    time: float = 0.0
-
-
-@dataclass
 class Hypothesis:
     """One (route, maneuver) prediction of a vehicle with its rollout.
 
@@ -115,21 +108,22 @@ def candidate_routes(vehicle: VehicleState,
     for rid in sorted(graph.routes):
         route = graph.routes[rid]
         s, d, dist = route.centerline.project(vehicle.position)
-        if dist > CANDIDATE_D_MAX:
+        if dist > CANDIDATE_D_MAX:  # dist is |d|
             continue
         phi = normalize_angle(vehicle.heading - route.centerline.heading_at(s))
-        if abs(d) <= CANDIDATE_D_MAX and abs(phi) <= CANDIDATE_PHI_MAX:
+        if abs(phi) <= CANDIDATE_PHI_MAX:
             out[rid] = FrenetPose(s=s, d=d, phi=phi)
     return out
 
 
 def occupancy_window(traj: LongTrajectory, zone: ConflictZone,
                      route_id: str) -> Optional[tuple[float, float]]:
-    """(t_in, t_out) during which a trajectory on `route_id` occupies the
-    conflict zone, its front entering half a vehicle length before the zone
-    and its rear clearing half a length after it; a merging zone ends
-    MERGE_ZONE_EXTENT past its start. t_out is inf when the trajectory has
-    not cleared the zone at its horizon; None when it never enters."""
+    """(t_in, t_out), counted from the trajectory's first sample, during
+    which a trajectory on `route_id` occupies the conflict zone, its front
+    entering half a vehicle length before the zone and its rear clearing
+    half a length after it; a merging zone ends MERGE_ZONE_EXTENT past its
+    start. t_out is inf when the trajectory has not cleared the zone at its
+    horizon; None when it never enters."""
     lo, hi = zone.interval(route_id)
     if zone.kind == "merging":
         hi = lo + MERGE_ZONE_EXTENT
@@ -137,9 +131,8 @@ def occupancy_window(traj: LongTrajectory, zone: ConflictZone,
     if enter is None:
         return None
     leave = traj.first_index_reaching(hi + 0.5 * VEHICLE_LENGTH)
-    t_in = traj.t0 + enter * traj.dt
-    t_out = traj.t0 + leave * traj.dt if leave is not None else math.inf
-    return t_in, t_out
+    t_out = leave * traj.dt if leave is not None else math.inf
+    return enter * traj.dt, t_out
 
 
 def drive_probability(route: Route, drive_traj: LongTrajectory,
@@ -172,13 +165,14 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
     return params.lambda1 if occupied else params.lambda2
 
 
-def predict(scene: SceneState, idm_params: IdmParams = IdmParams(),
+def predict(others: list[VehicleState], graph: RouteGraph,
+            idm_params: IdmParams = IdmParams(),
             params: PredictorParams = PredictorParams()) -> dict[str, list[Hypothesis]]:
-    """Hypothesis sets for every non-ego vehicle; probabilities sum to 1."""
-    graph = scene.graph
+    """Hypothesis sets for every non-ego vehicle; probabilities sum to 1.
+    Every rollout starts at the current states."""
     beliefs: dict[str, dict[str, float]] = {}
     poses: dict[str, dict[str, LongState]] = {}
-    for veh in scene.others:
+    for veh in others:
         cands = candidate_routes(veh, graph)
         if not cands:
             continue  # vehicle left the mapped area; nothing to predict
@@ -188,17 +182,17 @@ def predict(scene: SceneState, idm_params: IdmParams = IdmParams(),
 
     # depth-1 base rollouts: each vehicle free-driving its most likely route
     base: dict[str, tuple[str, LongTrajectory]] = {}
-    for veh in scene.others:
+    for veh in others:
         if veh.id not in beliefs:
             continue
         rid = max(beliefs[veh.id], key=lambda r: (beliefs[veh.id][r], r))
         route = graph.routes[rid]
         traj = rollout(poses[veh.id][rid], route_profile(route),
-                       t0=scene.time, params=idm_params)
+                       params=idm_params)
         base[veh.id] = (rid, traj)
 
     result: dict[str, list[Hypothesis]] = {}
-    for veh in scene.others:
+    for veh in others:
         if veh.id not in beliefs:
             continue
         hypotheses = []
@@ -208,15 +202,15 @@ def predict(scene: SceneState, idm_params: IdmParams = IdmParams(),
                 continue
             route = graph.routes[rid]
             start = poses[veh.id][rid]
-            leader = _closest_leader(veh.id, rid, start.s, scene, beliefs,
+            leader = _closest_leader(veh.id, rid, start.s, others, beliefs,
                                      poses, base, params.delta_r)
             profile = route_profile(route)
             if leader is None and base[veh.id][0] == rid:
                 drive_traj = base[veh.id][1]  # the same rollout inputs
             else:
                 drive_traj = rollout(start, profile, leader=leader,
-                                     t0=scene.time, params=idm_params)
-            prioritized = [base[o.id] for o in scene.others
+                                     params=idm_params)
+            prioritized = [base[o.id] for o in others
                            if o.id != veh.id and o.id in base
                            and graph.has_priority_over(base[o.id][0], rid)]
             p_drive = drive_probability(route, drive_traj, prioritized, graph,
@@ -228,8 +222,7 @@ def predict(scene: SceneState, idm_params: IdmParams = IdmParams(),
             s_stop = stop_target(route, start.s)
             if s_stop is not None and p_drive < 1.0:
                 stop_traj = rollout(start, profile, leader=leader,
-                                    stop_at=s_stop, t0=scene.time,
-                                    params=idm_params)
+                                    stop_at=s_stop, params=idm_params)
                 hypotheses.append(Hypothesis(
                     route_id=rid, maneuver=STOP, trajectory=stop_traj,
                     probability=p_route * (1.0 - p_drive), leader=leader,
@@ -241,14 +234,14 @@ def predict(scene: SceneState, idm_params: IdmParams = IdmParams(),
     return result
 
 
-def _closest_leader(veh_id: str, route_id: str, s: float, scene: SceneState,
-                    beliefs, poses, base,
+def _closest_leader(veh_id: str, route_id: str, s: float,
+                    others: list[VehicleState], beliefs, poses, base,
                     delta_r: float) -> Optional[LongTrajectory]:
     """Most likely rollout of the closest vehicle ahead on the same route,
     among vehicles whose own probability for that route exceeds delta_r."""
     best = None
     best_s = math.inf
-    for other in scene.others:
+    for other in others:
         if other.id == veh_id:
             continue
         b = beliefs.get(other.id, {})
@@ -266,4 +259,4 @@ def _closest_leader(veh_id: str, route_id: str, s: float, scene: SceneState,
     if rid == route_id:
         return traj
     offset = best_s - traj.s[0]
-    return LongTrajectory(traj.s + offset, traj.v, dt=traj.dt, t0=traj.t0)
+    return LongTrajectory(traj.s + offset, traj.v, dt=traj.dt)

@@ -60,13 +60,15 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
     try:
         routes = []
         for r in _require(raw, "routes"):
+            if any(isinstance(c, bool) for p in r["points"] for c in p):
+                raise ScenarioError(f"route {r['id']}: points must be numbers")
             routes.append(Route(
                 id=str(r["id"]),
                 centerline=Polyline(r["points"]),
-                speed_limit=float(r["speed_limit"]),
-                intersection_start=(float(r["intersection_start"])
-                                    if r.get("intersection_start") is not None
-                                    else None),
+                speed_limit=_number(r["speed_limit"], "speed_limit"),
+                intersection_start=(
+                    _number(r["intersection_start"], "intersection_start")
+                    if r.get("intersection_start") is not None else None),
             ))
         graph = RouteGraph(routes, right_of_way=[tuple(p) for p in
                                                  raw.get("right_of_way", [])])
@@ -74,18 +76,20 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         ego_route_id = str(ego["route"])
         if ego_route_id not in graph.routes:
             raise ScenarioError(f"ego route {ego_route_id!r} not defined")
-        ego_s, ego_v = float(ego["s"]), float(ego["v"])
+        ego_s, ego_v = _number(ego["s"], "ego: s"), _number(ego["v"], "ego: v")
         if not 0.0 <= ego_s <= graph.routes[ego_route_id].length:
             raise ScenarioError("ego: s off route")
         if not 0.0 <= ego_v < math.inf:  # NaN included
             raise ScenarioError("ego: negative speed or not finite")
-        duration = float(_require(raw, "duration"))
+        duration = _number(_require(raw, "duration"), "duration")
         if not 0.0 <= duration < math.inf:
             raise ScenarioError("duration must be finite and >= 0")
         vehicles = []
         for v in raw.get("vehicles", []):
+            what = f"vehicle {v['id']}:"
             spec = VehicleSpec(id=str(v["id"]), route_id=str(v["route"]),
-                               s=float(v["s"]), v=float(v["v"]),
+                               s=_number(v["s"], f"{what} s"),
+                               v=_number(v["v"], f"{what} v"),
                                agent=v.get("agent", DOUBLE_INTEGRATOR))
             if spec.route_id not in graph.routes:
                 raise ScenarioError(f"vehicle {spec.id}: unknown route "
@@ -101,7 +105,11 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
             vehicles.append(spec)
         if len({v.id for v in vehicles}) != len(vehicles):
             raise ScenarioError("duplicate vehicle ids")
-        seed = int(seed if seed is not None else raw.get("seed", 0))
+        seed = seed if seed is not None else raw.get("seed", 0)
+        if isinstance(seed, bool) or (isinstance(seed, float)
+                                      and seed != int(seed)):
+            raise ScenarioError(f"seed must be a whole number, got {seed!r}")
+        seed = int(seed)
         if seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ScenarioError(f"seed must be >= 0, got {seed}")
         block = raw.get("params", {})
@@ -125,6 +133,13 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
+
+
+def _number(value, what: str) -> float:
+    """`value` as a float; a JSON true or false is not a number."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _require(raw: dict, key: str):

@@ -16,7 +16,7 @@ from .geometry import Route, project_to_route
 from .idm import DT, VEHICLE_LENGTH, LongState, idm_acceleration
 from .optimizer import N_OPT
 from .scenario import IDM_AGENT, Scenario
-from .prediction import SceneState, VehicleState
+from .prediction import VehicleState
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
         if i % replan_every == 0 and i < steps:
             tic = _time.perf_counter()
             plan, last_kind, costs, result = _replan(
-                plan, plan_idx, t, agents, graph, ego_route, params, last_kind)
+                plan, plan_idx, agents, graph, ego_route, params, last_kind)
             last_solve = (result.converged, result.status)
             plan_idx = 3
             plan_ms = (_time.perf_counter() - tic) * 1e3
@@ -141,22 +141,20 @@ def _agent_leader(agent: _Agent, agents: list[_Agent]):
     return (best_gap, best_dv)
 
 
-def _replan(plan, plan_idx, t, agents, graph, ego_route, params, last_kind):
+def _replan(plan, plan_idx, agents, graph, ego_route, params, last_kind):
     """One planning cycle; the executed plan, every prediction and every
-    reference share the planning grid."""
+    reference share the planning grid, starting at this cycle."""
     idm_params = params.idm
     v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * DT)
     speed = float(np.hypot(*v_vec))
     # only the pose's s and d are read; neither depends on the heading
     pose = project_to_route(plan[plan_idx], 0.0, ego_route)
-    scene = SceneState(others=[a.state() for a in agents], graph=graph,
-                       time=t)
-    predictions = prediction.predict(scene, idm_params=idm_params,
-                                     params=params.predictor)
+    predictions = prediction.predict([a.state() for a in agents], graph,
+                                     idm_params, params.predictor)
     ego_long = LongState(pose.s, speed)
     options = behavior.generate_options(
         ego_long, ego_route, predictions, graph, idm_params, params.predictor,
-        t0=t, include_merge=params.use_virtual_leader)
+        include_merge=params.use_virtual_leader)
     scored = arbiter.score_options(options, predictions, ego_route, graph,
                                    last_kind, idm_params, params.arbiter)
     selected = arbiter.select(scored, last_kind)

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 
 from crossplan import (
+    LongTrajectory,
     Polyline,
     Route,
     RouteGraph,
     Scenario,
-    SceneState,
     VehicleSpec,
     VehicleState,
     load_scenario,
@@ -57,8 +57,8 @@ def t_junction_graph() -> RouteGraph:
 
 
 def random_scene(graph: RouteGraph, rng: np.random.Generator,
-                 max_vehicles: int = 4) -> SceneState:
-    """Scene with random vehicles placed near random routes of `graph`."""
+                 max_vehicles: int = 4) -> list[VehicleState]:
+    """Random vehicles placed near random routes of `graph`."""
     rids = sorted(graph.routes)
     others = []
     n = int(rng.integers(1, max_vehicles + 1))
@@ -71,7 +71,14 @@ def random_scene(graph: RouteGraph, rng: np.random.Generator,
         speed = float(rng.uniform(0.0, route.speed_limit))
         others.append(VehicleState(id=f"v{i}", position=position,
                                    heading=heading, speed=speed))
-    return SceneState(others=others, graph=graph, time=0.0)
+    return others
+
+
+def reaching_at(s_target: float, k: int, t0: float = 0.0) -> LongTrajectory:
+    """201 samples at 10 m/s, 0.05 s apart, whose first sample at or past
+    `s_target` is sample k, stamped with the clock `t0`."""
+    s = s_target - 0.5 * k + 0.1 + 10.0 * (np.arange(201) * 0.05)
+    return LongTrajectory(s, np.full(201, 10.0), 0.05, t0=t0)
 
 
 def write_scenario(path: Path, raw: dict) -> Path:

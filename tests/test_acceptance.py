@@ -46,12 +46,14 @@ def _report(number, name, ok, detail=""):
 
 def test_criterion_1_hypothesis_probabilities_normalized():
     graphs = [merge_graph(), t_junction_graph()]
-    predict(random_scene(graphs[0], np.random.default_rng(0)))  # warm caches
+    predict(random_scene(graphs[0], np.random.default_rng(0)),
+            graphs[0])  # warm caches
     worst = 0.0
     start = time.perf_counter()
     for seed in range(1000):
-        scene = random_scene(graphs[seed % 2], np.random.default_rng(seed))
-        for vid, hyps in predict(scene).items():
+        graph = graphs[seed % 2]
+        others = random_scene(graph, np.random.default_rng(seed))
+        for vid, hyps in predict(others, graph).items():
             worst = max(worst, abs(sum(h.probability for h in hyps) - 1.0))
     elapsed = time.perf_counter() - start
     _report(1, "probability normalization",
@@ -101,7 +103,7 @@ def test_criterion_3_virtual_leader_boundary_condition():
         if vl is None:
             continue
         built += 1
-        k = int(round((vl.merge_time - vl.trajectory.t0) / vl.trajectory.dt))
+        k = vl.merge_index
         gap = abs(vl.trajectory.s[k] - zone.start["ramp"])
         worst_s = max(worst_s, gap - vl.trajectory.v[k] * vl.trajectory.dt)
         worst_v = max(worst_v, abs(vl.trajectory.v[k] - rl_traj.v[k]))

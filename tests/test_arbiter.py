@@ -35,19 +35,19 @@ from crossplan.arbiter import (
 from crossplan.behavior import FREE, MERGE, STOP
 from crossplan.errors import LengthMismatch, NoOption
 from crossplan.idm import VEHICLE_LENGTH
-from crossplan.prediction import SceneState, VehicleState
+from crossplan.prediction import VehicleState
 
 from scenes import (MERGE_SCENARIO, T_JUNCTION_SCENARIO, add_random_vehicles,
-                    merge_graph, t_junction_graph)
+                    merge_graph, reaching_at, t_junction_graph)
 
 MERGE_GRAPH = merge_graph()
 T_GRAPH = t_junction_graph()
 
 
-def _traj(v_seq, dt=0.05, s0=0.0, t0=0.0):
+def _traj(v_seq, dt=0.05, s0=0.0):
     v = np.asarray(v_seq, dtype=float)
     s = s0 + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dt)])
-    return LongTrajectory(s, v, dt, t0=t0)
+    return LongTrajectory(s, v, dt)
 
 
 def _constant(s0, v, n=201, dt=0.05):
@@ -131,6 +131,28 @@ def test_crossing_courtesy_clear_margins():
     assert crossing_courtesy(option, crosser, SIDE, ZONE_X, False) == math.inf
 
 
+@pytest.mark.parametrize("t0", [0.05, 4.8])
+@pytest.mark.parametrize("ego_out, crosser_in", [(15, 40), (18, 43)])
+def test_crossing_decision_does_not_depend_on_the_clock(t0, ego_out,
+                                                        crosser_in):
+    # the ego clears the zone 25 samples (1.25 s) before the crosser enters
+    # it: without retention (h = -0.25 s) exactly the 1.0 s margin. Summed
+    # onto a clock, (0.05 + 40 dt) - (0.05 + 15 dt) is 1.2499999999999998.
+    _, hi_e = ZONE_X.interval("side")
+    lo_c, _ = ZONE_X.interval("south")
+    half = 0.5 * VEHICLE_LENGTH
+
+    def courtesy(clock):
+        option = BehaviorOption(BehaviorKind(FREE),
+                                reaching_at(hi_e + half, ego_out, clock))
+        crosser = Hypothesis("south", "drive",
+                             reaching_at(lo_c - half, crosser_in, clock), 1.0)
+        return crossing_courtesy(option, crosser, SIDE, ZONE_X, False)
+
+    assert courtesy(0.0) == 0.0
+    assert courtesy(t0) == 0.0
+
+
 def test_crossing_courtesy_passive_cases_cost_nothing():
     lo_c, _ = ZONE_X.interval("south")
     standing = BehaviorOption(BehaviorKind(STOP), _constant(0.0, 0.0))
@@ -203,9 +225,8 @@ def _merge_scene(ego_s=None, ego_v=14.0):
     s1 = ZONE_M.start["main"] - 70.0
     others = [VehicleState("veh1", main.centerline.point_at(s1),
                            main.centerline.heading_at(s1), 17.0)]
-    scene = SceneState(others=others, graph=MERGE_GRAPH)
     ego = LongState(ego_s, ego_v)
-    preds = predict(scene)
+    preds = predict(others, MERGE_GRAPH)
     options = generate_options(ego, RAMP, preds, MERGE_GRAPH)
     return options, preds
 
@@ -296,16 +317,14 @@ def test_arbiter_params_validation():
 # --- skipped work: reference equality ----------------------------------------
 
 
-def full_follower_disturbance(option, follower, ego_route, zone, idm_params):
+def full_follower_disturbance(option, follower, enter, ego_route, zone,
+                              idm_params):
     """The follower disturbance with the reaction always re-simulated: the
     shadowed-leader shortcut of `arbiter._follower_disturbance` left out,
     kept to check that shortcut against."""
     ref = option.reference
     s_m_ego = zone.start[ego_route.id]
     s_m_f = zone.start[follower.route_id]
-    enter = ref.first_index_reaching(s_m_ego)
-    if enter is None:
-        return 0.0
     n = len(ref)
     ego_s_mapped = np.full(n, np.inf)
     ego_s_mapped[enter:] = s_m_f + (ref.s[enter:] - s_m_ego)
@@ -316,12 +335,11 @@ def full_follower_disturbance(option, follower, ego_route, zone, idm_params):
         ve = float(ref.v[enter])
         want = idm_params.desired_gap(ve, ve - float(f_traj.v[enter]))
         return math.inf if gap_ahead < 0.85 * max(want, idm_params.s0) else 0.0
-    ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt, t0=ref.t0)
+    ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt)
     react = arbiter.rollout(
         follower.start, follower.profile,
         leader=arbiter._min_leader(follower.leader, ego_as_leader),
-        stop_at=follower.stop_at, n=n, dt=ref.dt, t0=ref.t0,
-        params=idm_params)
+        stop_at=follower.stop_at, n=n, dt=ref.dt, params=idm_params)
     return float(np.mean(np.abs(f_traj.accelerations()
                                 - react.accelerations())))
 
@@ -438,7 +456,7 @@ def test_shadowed_reaction_is_zero_without_a_rollout(monkeypatch):
     others = [VehicleState(vid, main.centerline.point_at(s),
                            main.centerline.heading_at(s), 10.0)
               for vid, s in (("veh1", lo_f - 60.0), ("veh2", lo_f - 40.0))]
-    preds = predict(SceneState(others=others, graph=MERGE_GRAPH))
+    preds = predict(others, MERGE_GRAPH)
     follower = next(h for h in preds["veh1"] if h.route_id == "main")
     assert follower.leader is not None
     option = BehaviorOption(BehaviorKind(MERGE, "veh2"),
@@ -446,9 +464,10 @@ def test_shadowed_reaction_is_zero_without_a_rollout(monkeypatch):
     calls = []
     monkeypatch.setattr(arbiter, "rollout",
                         lambda *a, **k: calls.append(1) or rollout(*a, **k))
-    disturbance = arbiter._follower_disturbance(option, follower, RAMP,
+    enter = option.reference.first_index_reaching(lo_e)
+    disturbance = arbiter._follower_disturbance(option, follower, enter, RAMP,
                                                 ZONE_M, IdmParams())
     assert disturbance == 0.0 and calls == []
-    assert full_follower_disturbance(option, follower, RAMP, ZONE_M,
+    assert full_follower_disturbance(option, follower, enter, RAMP, ZONE_M,
                                      IdmParams()) == 0.0
     assert len(calls) == 1  # the full computation did run the reaction

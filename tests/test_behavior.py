@@ -1,7 +1,5 @@
 """Behavior option generation and virtual-leader construction."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -49,7 +47,7 @@ def test_virtual_leader_boundary_condition():
         if vl is None:
             continue
         built += 1
-        k = int(round((vl.merge_time - vl.trajectory.t0) / vl.trajectory.dt))
+        k = vl.merge_index
         v_here = vl.trajectory.v[k]
         assert abs(vl.trajectory.s[k] - ZONE.start["ramp"]) <= v_here * vl.trajectory.dt
         assert abs(vl.trajectory.v[k] - rl_traj.v[k]) <= 0.1
@@ -61,7 +59,7 @@ def test_virtual_leader_tracks_real_leader_after_merge():
     ego = LongState(ZONE.start["ramp"] - 80.0, 12.0)
     vl = build_virtual_leader(rl_traj, "main", ZONE, RAMP, ego)
     assert vl is not None
-    k = int(round((vl.merge_time - vl.trajectory.t0) / vl.trajectory.dt))
+    k = vl.merge_index
     # past the merge point both run on the shared lane: identical motion
     shift = vl.trajectory.s[k:] - ZONE.start["ramp"]
     rl_shift = rl_traj.s[k:] - rl_traj.s[k]
@@ -99,7 +97,8 @@ def test_option_kinds_depend_on_position_and_beliefs():
     assert len(merge) == 1
     assert merge[0].kind.target_vehicle == "veh1"
     assert merge[0].virtual_leader is not None
-    assert math.isfinite(merge[0].virtual_leader.merge_time)
+    vl = merge[0].virtual_leader
+    assert 0 <= vl.merge_index < len(vl.trajectory)
 
     # below the relevance threshold the merge option disappears
     names = [o.kind.name
@@ -133,8 +132,8 @@ def test_merge_options_sorted_by_merge_time():
     merges = [o for o in generate_options(ego, RAMP, preds, GRAPH)
               if o.kind.name == MERGE]
     assert len(merges) == 2
-    assert (merges[0].virtual_leader.merge_time
-            <= merges[1].virtual_leader.merge_time)
+    assert (merges[0].virtual_leader.merge_index
+            <= merges[1].virtual_leader.merge_index)
     assert merges[0].kind.target_vehicle == "near"
 
 

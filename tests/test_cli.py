@@ -76,11 +76,25 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
     (lambda raw: raw["routes"][1].update(speed_limit=math.inf),
      "speed_limit must be positive and finite"),
     (lambda raw: raw.update(seed=math.inf), "malformed scenario"),
+    (lambda raw: raw.update(seed=2.7), "seed must be a whole number"),
+    (lambda raw: raw.update(seed=True), "seed must be a whole number"),
+    (lambda raw: raw.update(params={"a_idm": True}), "a_idm must be a number"),
+    (lambda raw: raw.update(duration=True), "duration must be a number"),
+    (lambda raw: raw["ego"].update(v=True), "ego: v must be a number"),
+    (lambda raw: raw["vehicles"].append(
+        {"id": "a", "route": "main", "s": True, "v": 5.0}),
+     "vehicle a: s must be a number"),
+    (lambda raw: raw["routes"][1].update(speed_limit=True),
+     "speed_limit must be a number"),
+    (lambda raw: raw["routes"][0]["points"][0].__setitem__(0, False),
+     "points must be numbers"),
 ], ids=["negative_duration", "nan_duration", "ego_off_route",
         "negative_ego_speed", "negative_dt_inter", "zero_lambda",
         "nan_vehicle_speed", "infinite_ego_speed", "infinite_vehicle_speed",
         "nan_param", "null_params", "list_params", "infinite_speed_limit",
-        "infinite_seed"])
+        "infinite_seed", "fractional_seed", "boolean_seed", "boolean_param",
+        "boolean_duration", "boolean_ego_speed", "boolean_vehicle_s",
+        "boolean_speed_limit", "boolean_point"])
 def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
                                            message):
     raw = tiny_scenario_dict()

@@ -322,13 +322,12 @@ def test_cartesian_trajectory_derivative_shapes():
 def test_reference_to_cartesian_follows_the_route():
     route = circle_route("c", 60.0, n=600, limit=15.0)
     t = np.arange(201) * DT
-    ref = LongTrajectory(10.0 + 12.0 * t, np.full(201, 12.0), DT, t0=2.0)
+    ref = LongTrajectory(10.0 + 12.0 * t, np.full(201, 12.0), DT)
     d = 0.4
     prefix = np.array([route.centerline.point_at(10.0 + 12.0 * k * DT, d)
                        for k in range(-3, 1)])
     traj = reference_to_cartesian(ref, route, prefix, d)
     assert len(traj) == N_OPT
-    assert traj.t0 == pytest.approx(2.0 - 3 * DT)
     assert np.array_equal(traj.positions[:N_FIXED], prefix)
     # plan sample k is reference sample k - 3, its offset falling from d at
     # the first free sample to 0 at the last

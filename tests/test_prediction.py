@@ -8,7 +8,6 @@ import pytest
 from crossplan import (
     LongTrajectory,
     PredictorParams,
-    SceneState,
     VehicleState,
     drive_probability,
     predict,
@@ -22,7 +21,7 @@ from crossplan.idm import VEHICLE_LENGTH
 from crossplan.prediction import (MERGE_ZONE_EXTENT, candidate_routes,
                                   occupancy_window)
 
-from scenes import merge_graph, random_scene, t_junction_graph
+from scenes import merge_graph, random_scene, reaching_at, t_junction_graph
 
 MERGE = merge_graph()
 T_JUNCTION = t_junction_graph()
@@ -84,8 +83,7 @@ def test_candidate_routes_by_corridor():
 @pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
 def test_hypothesis_probabilities_sum_to_one(graph):
     for seed in range(30):
-        scene = random_scene(graph, np.random.default_rng(seed))
-        hyps = predict(scene)
+        hyps = predict(random_scene(graph, np.random.default_rng(seed)), graph)
         for vid, hs in hyps.items():
             assert hs, vid
             assert sum(h.probability for h in hs) == pytest.approx(1.0,
@@ -96,10 +94,8 @@ def test_hypothesis_probabilities_sum_to_one(graph):
 
 
 def test_vehicle_outside_map_is_skipped():
-    scene = SceneState(
-        others=[VehicleState("ghost", np.array([900.0, 900.0]), 0.0, 5.0)],
-        graph=T_JUNCTION)
-    assert "ghost" not in predict(scene)
+    ghost = VehicleState("ghost", np.array([900.0, 900.0]), 0.0, 5.0)
+    assert "ghost" not in predict([ghost], T_JUNCTION)
 
 
 def _constant_speed(s0, v, n=201, dt=0.05):
@@ -136,17 +132,35 @@ def test_drive_probability_returns_exact_levels():
                              params) == params.lambda2
 
 
+@pytest.mark.parametrize("t0", [0.05, 4.8])
+@pytest.mark.parametrize("arrive, enter", [(4, 64), (15, 75)])
+def test_drive_probability_does_not_depend_on_the_clock(t0, arrive, enter):
+    # the prioritized vehicle enters the zone 60 samples (dt_inter = 3 s)
+    # after the yielder arrives, on the edge of the window where rounding
+    # decides; summed onto a clock, the answer changed with the clock
+    side = T_JUNCTION.routes["side"]
+    zone = T_JUNCTION.zone_between("side", "north")
+    half = 0.5 * VEHICLE_LENGTH
+
+    def p_drive(clock):
+        return drive_probability(
+            side, reaching_at(zone.start["side"] - half, arrive, clock),
+            [("north", reaching_at(zone.start["north"] - half, enter, clock))],
+            T_JUNCTION)
+
+    assert p_drive(t0) == p_drive(0.0)
+
+
 def test_occupancy_window_spans_entry_to_clearing():
-    dt, t0 = 0.1, 2.0
+    dt = 0.1
     half = 0.5 * VEHICLE_LENGTH
 
     def at_10_m_per_s(n):  # s = k metres at sample k
-        return LongTrajectory(np.arange(n, dtype=float), np.full(n, 10.0), dt,
-                              t0=t0)
+        return LongTrajectory(np.arange(n, dtype=float), np.full(n, 10.0), dt)
 
     crossing = ConflictZone("crossing", start={"a": 50.0}, end={"a": 60.0})
     merging = ConflictZone("merging", start={"a": 50.0})
-    enter = t0 + math.ceil(50.0 - half) * dt
+    enter = math.ceil(50.0 - half) * dt
     # still inside the zone at the horizon: it never clears
     assert occupancy_window(at_10_m_per_s(61), crossing, "a") == (enter,
                                                                   math.inf)
@@ -154,9 +168,9 @@ def test_occupancy_window_spans_entry_to_clearing():
     # MERGE_ZONE_EXTENT from its start
     long = at_10_m_per_s(201)
     assert occupancy_window(long, crossing, "a") == (
-        enter, t0 + math.ceil(60.0 + half) * dt)
+        enter, math.ceil(60.0 + half) * dt)
     assert occupancy_window(long, merging, "a") == (
-        enter, t0 + math.ceil(50.0 + MERGE_ZONE_EXTENT + half) * dt)
+        enter, math.ceil(50.0 + MERGE_ZONE_EXTENT + half) * dt)
     # never reaches the zone
     assert occupancy_window(at_10_m_per_s(40), crossing, "a") is None
 
@@ -171,16 +185,14 @@ def test_stop_hypothesis_gated_by_intersection_and_traffic():
         ramp.centerline.heading_at(s_before), 14.0)
 
     # empty intersection: p_drive = lambda2 = 1, so no stop hypothesis
-    scene = SceneState(others=[approaching], graph=MERGE)
-    maneuvers = {h.maneuver for h in predict(scene)["yielder"]}
+    maneuvers = {h.maneuver for h in predict([approaching], MERGE)["yielder"]}
     assert maneuvers == {"drive"}
 
     # a prioritized vehicle in conflict makes stopping plausible
     s_main = zone.start["main"] - 14.0 * (zone.start["ramp"] - s_before) / 14.0
     rival = VehicleState("rival", main.centerline.point_at(s_main),
                          main.centerline.heading_at(s_main), 14.0)
-    scene = SceneState(others=[approaching, rival], graph=MERGE)
-    hyps = predict(scene)["yielder"]
+    hyps = predict([approaching, rival], MERGE)["yielder"]
     maneuvers = {h.maneuver for h in hyps}
     assert maneuvers == {"drive", "stop"}
     stop = next(h for h in hyps if h.maneuver == "stop")
@@ -191,8 +203,9 @@ def test_stop_hypothesis_gated_by_intersection_and_traffic():
     s_past = ramp.intersection_start + 10.0
     committed = VehicleState("committed", ramp.centerline.point_at(s_past),
                              ramp.centerline.heading_at(s_past), 14.0)
-    scene = SceneState(others=[committed, rival], graph=MERGE)
-    assert {h.maneuver for h in predict(scene)["committed"]} == {"drive"}
+    assert {h.maneuver
+            for h in predict([committed, rival], MERGE)["committed"]} == {
+                "drive"}
 
 
 def test_predict_assigns_leader_on_shared_route():
@@ -201,8 +214,7 @@ def test_predict_assigns_leader_on_shared_route():
                         main.centerline.heading_at(100.0), 18.0)
     front = VehicleState("front", main.centerline.point_at(140.0),
                          main.centerline.heading_at(140.0), 12.0)
-    scene = SceneState(others=[back, front], graph=MERGE)
-    hyps = predict(scene)
+    hyps = predict([back, front], MERGE)
     follow = max(hyps["back"], key=lambda h: h.probability)
     assert follow.leader is not None
     # the follower's rollout never overlaps its leader
@@ -226,15 +238,14 @@ def test_every_hypothesis_is_the_rollout_of_its_context(graph):
     # the `Hypothesis` invariant the arbiter's shadowed-reaction shortcut
     # relies on, the reused base rollouts included
     for seed in range(30):
-        scene = random_scene(graph, np.random.default_rng(seed), 6)
-        for hyps in predict(scene).values():
+        others = random_scene(graph, np.random.default_rng(seed), 6)
+        for hyps in predict(others, graph).values():
             for h in hyps:
                 fresh = rollout(h.start, h.profile, leader=h.leader,
-                                stop_at=h.stop_at, t0=scene.time)
+                                stop_at=h.stop_at)
                 assert np.array_equal(h.trajectory.s, fresh.s)
                 assert np.array_equal(h.trajectory.v, fresh.v)
-                assert (h.trajectory.dt, h.trajectory.t0) == (fresh.dt,
-                                                              fresh.t0)
+                assert h.trajectory.dt == fresh.dt
 
 
 def test_leaderless_drive_on_the_likeliest_route_reuses_the_base_rollout(
@@ -246,7 +257,7 @@ def test_leaderless_drive_on_the_likeliest_route_reuses_the_base_rollout(
     calls = []
     monkeypatch.setattr(prediction, "rollout",
                         lambda *a, **k: calls.append(1) or rollout(*a, **k))
-    hyps = predict(SceneState(others=[lone], graph=MERGE))["lone"]
+    hyps = predict([lone], MERGE)["lone"]
     assert [(h.route_id, h.maneuver, h.leader) for h in hyps] == [
         ("main", "drive", None)]
     assert len(calls) == 1

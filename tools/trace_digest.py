@@ -1,10 +1,15 @@
-"""Fingerprint the closed-loop traces of every benchmark workload.
+"""Fingerprint the closed-loop traces of every benchmark workload and of
+the acceptance scenes.
 
 For each workload in `planbench/workloads.py`, runs every episode once
 through `crossplan.simloop.run` and prints the number of trace records and
 the sha256 of their `checks.record_key` sequence (every field of a record
-but the wall-clock `plan_ms`). Two checkouts plan bit for bit alike on a
-workload exactly when the digests match:
+but the wall-clock `plan_ms`). Then it does the same for the bundled
+scenarios at agent seeds 0-19 (whatever `--seed` is), with default
+parameters and with the overrides of acceptance criteria 5
+(`use_virtual_leader=false` on `merge_rural`) and 6 (`w_c=4` on
+`t_junction`). Two checkouts plan bit for bit alike on a workload or scene
+exactly when the digests match:
 
     python3 tools/trace_digest.py --seed 0
 
@@ -25,7 +30,8 @@ import repo  # noqa: E402
 repo.make_importable()
 
 # the planner first, so its BLAS pin is in place before numpy loads
-from crossplan import SimConfig, scenario_from_dict, simloop  # noqa: E402
+from crossplan import (SimConfig, load_scenario, scenario_from_dict,  # noqa: E402
+                       simloop)
 
 import checks  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -41,17 +47,40 @@ def canonical(value) -> str:
     return float(value).hex()
 
 
-def digest(workload: str, seed: int) -> tuple[int, str]:
-    """(record count, sha256 of the record keys) over the workload's
-    episodes at `seed`, in episode order."""
+# (scenario file, overrides) of the acceptance criteria 5 and 6 runs
+ACCEPTANCE_SCENES = [
+    ("merge_rural", {}),
+    ("merge_rural", {"use_virtual_leader": "false"}),
+    ("t_junction", {}),
+    ("t_junction", {"w_c": "4"}),
+]
+ACCEPTANCE_SEEDS = range(20)
+
+
+def _digest(scenarios) -> tuple[int, str]:
+    """(record count, sha256 of the record keys) over the scenarios' traces,
+    in order."""
     h = hashlib.sha256()
     count = 0
-    for episode in WORKLOADS[workload].episodes(seed):
-        trace = simloop.run(scenario_from_dict(episode.raw), SimConfig())
+    for sc in scenarios:
+        trace = simloop.run(sc, SimConfig())
         for rec in trace:
             h.update(canonical(checks.record_key(rec)).encode() + b"\n")
         count += len(trace)
     return count, h.hexdigest()
+
+
+def digest(workload: str, seed: int) -> tuple[int, str]:
+    """Digest of the workload's episodes at `seed`, in episode order."""
+    return _digest(scenario_from_dict(episode.raw)
+                   for episode in WORKLOADS[workload].episodes(seed))
+
+
+def acceptance_digest(name: str, overrides: dict) -> tuple[int, str]:
+    """Digest of a bundled scenario at every acceptance seed."""
+    path = repo.SCENARIOS / f"{name}.json"
+    return _digest(load_scenario(path, overrides=overrides, seed=seed)
+                   for seed in ACCEPTANCE_SEEDS)
 
 
 def main(argv=None) -> int:
@@ -64,6 +93,11 @@ def main(argv=None) -> int:
     for name in WORKLOADS:
         count, sha = digest(name, args.seed)
         print(f"{name} seed={args.seed} records={count} sha256={sha}")
+    for name, overrides in ACCEPTANCE_SCENES:
+        count, sha = acceptance_digest(name, overrides)
+        setting = ",".join(f"{k}={v}" for k, v in overrides.items())
+        print(f"{name} seeds=0-{ACCEPTANCE_SEEDS[-1]} "
+              f"params={setting or 'default'} records={count} sha256={sha}")
     return 0
 
 
