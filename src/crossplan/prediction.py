@@ -67,7 +67,8 @@ class Hypothesis:
     on the planning grid with the prediction's `IdmParams`, so
     re-simulating it from this context with the same parameters reproduces
     it bit for bit. The arbiter relies on this to skip reactions whose
-    binding leader would not change.
+    binding leader would not change. `leader` is the leader vehicle's own
+    drive hypothesis, remapped onto `route_id`; None if none leads.
     """
 
     route_id: str
@@ -180,39 +181,41 @@ def predict(others: list[VehicleState], graph: RouteGraph,
         poses[veh.id] = {rid: LongState(pose.s, veh.speed)
                          for rid, pose in cands.items()}
 
-    # depth-1 base rollouts: each vehicle free-driving its most likely route
-    base: dict[str, tuple[str, LongTrajectory]] = {}
-    for veh in others:
-        if veh.id not in beliefs:
-            continue
-        rid = max(beliefs[veh.id], key=lambda r: (beliefs[veh.id][r], r))
-        route = graph.routes[rid]
-        traj = rollout(poses[veh.id][rid], route_profile(route),
-                       params=idm_params)
-        base[veh.id] = (rid, traj)
+    top = {vid: max(b, key=lambda r: (b[r], r)) for vid, b in beliefs.items()}
+    drives: dict[tuple[str, str], Optional[tuple]] = {}
+
+    def drive(vid: str, rid: str) -> Optional[tuple]:
+        """(leader, rollout) of the vehicle driving `rid` behind its leader's
+        own drive on that leader's likeliest route, remapped onto `rid`."""
+        if (vid, rid) not in drives:
+            drives[vid, rid] = None  # being built: a leader cycle ends here
+            start = poses[vid][rid]
+            lid = _closest_leader(vid, rid, start.s, beliefs, poses,
+                                  params.delta_r)
+            ahead = None if lid is None else drive(lid, top[lid])
+            leader = None if ahead is None else ahead[1]
+            if leader is not None and top[lid] != rid:
+                leader = LongTrajectory(
+                    leader.s + (poses[lid][rid].s - leader.s[0]), leader.v,
+                    dt=leader.dt)
+            drives[vid, rid] = (leader, rollout(
+                start, route_profile(graph.routes[rid]), leader=leader,
+                params=idm_params))
+        return drives[vid, rid]
 
     result: dict[str, list[Hypothesis]] = {}
-    for veh in others:
-        if veh.id not in beliefs:
-            continue
+    for vid in beliefs:
         hypotheses = []
-        for rid in sorted(beliefs[veh.id]):
-            p_route = beliefs[veh.id][rid]
+        for rid in sorted(beliefs[vid]):
+            p_route = beliefs[vid][rid]
             if p_route <= 0.0:
                 continue
             route = graph.routes[rid]
-            start = poses[veh.id][rid]
-            leader = _closest_leader(veh.id, rid, start.s, others, beliefs,
-                                     poses, base, params.delta_r)
+            start = poses[vid][rid]
             profile = route_profile(route)
-            if leader is None and base[veh.id][0] == rid:
-                drive_traj = base[veh.id][1]  # the same rollout inputs
-            else:
-                drive_traj = rollout(start, profile, leader=leader,
-                                     params=idm_params)
-            prioritized = [base[o.id] for o in others
-                           if o.id != veh.id and o.id in base
-                           and graph.has_priority_over(base[o.id][0], rid)]
+            leader, drive_traj = drive(vid, rid)
+            prioritized = [(top[o], drive(o, top[o])[1]) for o in top
+                           if o != vid and graph.has_priority_over(top[o], rid)]
             p_drive = drive_probability(route, drive_traj, prioritized, graph,
                                         params)
             hypotheses.append(Hypothesis(
@@ -230,33 +233,21 @@ def predict(others: list[VehicleState], graph: RouteGraph,
         total = sum(h.probability for h in hypotheses)
         for h in hypotheses:
             h.probability /= total
-        result[veh.id] = hypotheses
+        result[vid] = hypotheses
     return result
 
 
-def _closest_leader(veh_id: str, route_id: str, s: float,
-                    others: list[VehicleState], beliefs, poses, base,
-                    delta_r: float) -> Optional[LongTrajectory]:
-    """Most likely rollout of the closest vehicle ahead on the same route,
-    among vehicles whose own probability for that route exceeds delta_r."""
+def _closest_leader(veh_id: str, route_id: str, s: float, beliefs, poses,
+                    delta_r: float) -> Optional[str]:
+    """Id of the closest vehicle strictly ahead at `s` on `route_id` whose
+    own belief in that route exceeds delta_r; the first listed on ties."""
     best = None
     best_s = math.inf
-    for other in others:
-        if other.id == veh_id:
-            continue
-        b = beliefs.get(other.id, {})
-        if b.get(route_id, 0.0) <= delta_r:
+    for other, b in beliefs.items():
+        if other == veh_id or b.get(route_id, 0.0) <= delta_r:
             continue
         # a route the vehicle believes in is one of its candidates
-        s_other = poses[other.id][route_id].s
-        if s_other > s and s_other < best_s:
-            best_s = s_other
-            best = other.id
-    if best is None:
-        return None
-    # leader's own most-likely rollout remapped onto this route's arc length
-    rid, traj = base[best]
-    if rid == route_id:
-        return traj
-    offset = best_s - traj.s[0]
-    return LongTrajectory(traj.s + offset, traj.v, dt=traj.dt)
+        s_other = poses[other][route_id].s
+        if s < s_other < best_s:
+            best, best_s = other, s_other
+    return best

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
     try:
         routes = []
         for r in _require(raw, "routes"):
-            if any(isinstance(c, bool) for p in r["points"] for c in p):
+            if not all(_is_number(c) for p in r["points"] for c in p):
                 raise ScenarioError(f"route {r['id']}: points must be numbers")
             routes.append(Route(
                 id=str(r["id"]),
@@ -106,15 +107,16 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         if len({v.id for v in vehicles}) != len(vehicles):
             raise ScenarioError("duplicate vehicle ids")
         seed = seed if seed is not None else raw.get("seed", 0)
-        if isinstance(seed, bool) or (isinstance(seed, float)
-                                      and seed != int(seed)):
+        if not _is_number(seed) or seed != int(seed):
             raise ScenarioError(f"seed must be a whole number, got {seed!r}")
         seed = int(seed)
         if seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ScenarioError(f"seed must be >= 0, got {seed}")
         block = raw.get("params", {})
-        if not isinstance(block, dict):
-            raise ScenarioError("params must be a JSON object")
+        if not isinstance(block, dict) or not all(  # bool is Real
+                isinstance(v, numbers.Real) for v in block.values()):
+            raise ScenarioError("params must be a JSON object of numbers "
+                                "and booleans")
         params = PlannerParams().with_overrides(block)
         if overrides:
             params = params.with_overrides(overrides)
@@ -135,9 +137,14 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    """Whether `value` is a number: a string or a true or false is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(value, what: str) -> float:
-    """`value` as a float; a JSON true or false is not a number."""
-    if isinstance(value, bool):
+    """`value` as a float, if it is a number."""
+    if not _is_number(value):
         raise ScenarioError(f"{what} must be a number, got {value!r}")
     return float(value)
 

@@ -88,13 +88,27 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
      "speed_limit must be a number"),
     (lambda raw: raw["routes"][0]["points"][0].__setitem__(0, False),
      "points must be numbers"),
+    (lambda raw: raw.update(duration="1.0"), "duration must be a number"),
+    (lambda raw: raw.update(seed="3"), "seed must be a whole number"),
+    (lambda raw: raw["ego"].update(v="12"), "ego: v must be a number"),
+    (lambda raw: raw["vehicles"].append(
+        {"id": "a", "route": "main", "s": "5", "v": 5.0}),
+     "vehicle a: s must be a number"),
+    (lambda raw: raw["routes"][1].update(speed_limit="15"),
+     "speed_limit must be a number"),
+    (lambda raw: raw["routes"][0]["points"][0].__setitem__(0, "-200"),
+     "points must be numbers"),
+    (lambda raw: raw.update(params={"a_max": "2.0"}),
+     "params must be a JSON object of numbers and booleans"),
 ], ids=["negative_duration", "nan_duration", "ego_off_route",
         "negative_ego_speed", "negative_dt_inter", "zero_lambda",
         "nan_vehicle_speed", "infinite_ego_speed", "infinite_vehicle_speed",
         "nan_param", "null_params", "list_params", "infinite_speed_limit",
         "infinite_seed", "fractional_seed", "boolean_seed", "boolean_param",
         "boolean_duration", "boolean_ego_speed", "boolean_vehicle_s",
-        "boolean_speed_limit", "boolean_point"])
+        "boolean_speed_limit", "boolean_point", "string_duration",
+        "string_seed", "string_ego_speed", "string_vehicle_s",
+        "string_speed_limit", "string_point", "string_param"])
 def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
                                            message):
     raw = tiny_scenario_dict()

@@ -7,7 +7,10 @@ import pytest
 
 from crossplan import (
     LongTrajectory,
+    Polyline,
     PredictorParams,
+    Route,
+    RouteGraph,
     VehicleState,
     drive_probability,
     predict,
@@ -21,7 +24,8 @@ from crossplan.idm import VEHICLE_LENGTH
 from crossplan.prediction import (MERGE_ZONE_EXTENT, candidate_routes,
                                   occupancy_window)
 
-from scenes import merge_graph, random_scene, reaching_at, t_junction_graph
+from scenes import (line_route, merge_graph, random_scene, reaching_at,
+                    t_junction_graph)
 
 MERGE = merge_graph()
 T_JUNCTION = t_junction_graph()
@@ -236,9 +240,9 @@ def test_predictor_params_validation():
 @pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
 def test_every_hypothesis_is_the_rollout_of_its_context(graph):
     # the `Hypothesis` invariant the arbiter's shadowed-reaction shortcut
-    # relies on, the reused base rollouts included
+    # relies on; 12 vehicles per scene so that queues occur
     for seed in range(30):
-        others = random_scene(graph, np.random.default_rng(seed), 6)
+        others = random_scene(graph, np.random.default_rng(seed), 12)
         for hyps in predict(others, graph).values():
             for h in hyps:
                 fresh = rollout(h.start, h.profile, leader=h.leader,
@@ -248,19 +252,57 @@ def test_every_hypothesis_is_the_rollout_of_its_context(graph):
                 assert h.trajectory.dt == fresh.dt
 
 
-def test_leaderless_drive_on_the_likeliest_route_reuses_the_base_rollout(
-        monkeypatch):
-    # one vehicle alone on main: its base rollout is its drive hypothesis
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_queue_rolls_each_vehicle_out_once_behind_its_leaders_drive(
+        monkeypatch, n):
+    # a queue on main, back to front: each vehicle is rolled out once, and
+    # follows the drive hypothesis of the vehicle ahead, not a leaderless
+    # rollout of it that drives through that vehicle's own leader
     main = MERGE.routes["main"]
-    lone = VehicleState("lone", main.centerline.point_at(100.0),
-                        main.centerline.heading_at(100.0), 18.0)
+    queue = [VehicleState(f"q{k}", main.centerline.point_at(100.0 + 20.0 * k),
+                          main.centerline.heading_at(100.0 + 20.0 * k),
+                          18.0 - 3.0 * k) for k in range(n)]
     calls = []
     monkeypatch.setattr(prediction, "rollout",
                         lambda *a, **k: calls.append(1) or rollout(*a, **k))
-    hyps = predict([lone], MERGE)["lone"]
-    assert [(h.route_id, h.maneuver, h.leader) for h in hyps] == [
-        ("main", "drive", None)]
-    assert len(calls) == 1
-    fresh = rollout(hyps[0].start, hyps[0].profile)
-    assert np.array_equal(hyps[0].trajectory.s, fresh.s)
-    assert np.array_equal(hyps[0].trajectory.v, fresh.v)
+    hyps = predict(queue, MERGE)
+    assert len(calls) == n
+    drives = [hyps[veh.id] for veh in queue]
+    assert all([(h.route_id, h.maneuver) for h in hs] == [("main", "drive")]
+               for hs in drives)
+    for (follower,), (leader,) in zip(drives, drives[1:]):
+        assert follower.leader is leader.trajectory
+    assert drives[-1][0].leader is None
+    for (h,) in drives:
+        fresh = rollout(h.start, h.profile, leader=h.leader)
+        assert np.array_equal(h.trajectory.s, fresh.s)
+        assert np.array_equal(h.trajectory.v, fresh.v)
+
+
+def test_a_leader_cycle_breaks_to_leaderless():
+    # route a laps z's lane twice: on z "B" is ahead of "A", and on a "A",
+    # on the second lap, is ahead of "B". Each vehicle's likeliest route is
+    # the one on which the other leads it, so the leaders form a cycle
+    z = line_route("z", (0.0, 0.0), (100.0, 0.0))
+    lap1 = [[x, -0.05] for x in np.linspace(0.0, 100.0, 21)]
+    loop = [[130.0, -30.0], [50.0, -60.0], [-30.0, -30.0]]
+    lap2 = [[x, 0.05] for x in np.linspace(0.0, 100.0, 21)]
+    a = Route(id="a", centerline=Polyline(lap1 + loop + lap2),
+              speed_limit=15.0, intersection_start=None)
+    graph = RouteGraph([z, a])
+    others = [VehicleState("A", np.array([20.0, 0.02]), 0.0, 10.0),
+              VehicleState("B", np.array([30.0, -0.05]), 0.0, 10.0)]
+    hyps = predict(others, graph)
+    top = {vid: max(hs, key=lambda h: h.probability)
+           for vid, hs in hyps.items()}
+    assert {vid: h.route_id for vid, h in top.items()} == {"A": "z", "B": "a"}
+    # "A" is built first and follows "B"; "B", whose leader "A" is still
+    # being built, drives leaderless
+    assert top["B"].leader is None
+    assert np.array_equal(top["A"].leader.v, top["B"].trajectory.v)
+    for hs in hyps.values():
+        for h in hs:
+            fresh = rollout(h.start, h.profile, leader=h.leader,
+                            stop_at=h.stop_at)
+            assert np.array_equal(h.trajectory.s, fresh.s)
+            assert np.array_equal(h.trajectory.v, fresh.v)

@@ -2,7 +2,7 @@
 and the arbiter each call `rollout` through their own module binding; how
 often they do is a pure function of the scenario, so a skip that stops
 working (a vetoed option scored on, a shadowed reaction re-simulated, a
-base rollout repeated) fails here without any timing."""
+vehicle's drive rolled out twice) fails here without any timing."""
 
 import math
 
@@ -12,7 +12,7 @@ from crossplan import run
 from scenes import T_JUNCTION_SCENARIO
 
 # rollouts per binding over the 8 s episode below
-EXPECTED_ROLLOUTS = {"prediction": 160, "behavior": 99, "arbiter": 31}
+EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 99, "arbiter": 31}
 
 
 def test_rollouts_per_binding_and_none_after_a_veto(monkeypatch):
