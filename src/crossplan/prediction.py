@@ -68,7 +68,8 @@ class Hypothesis:
     re-simulating it from this context with the same parameters reproduces
     it bit for bit. The arbiter relies on this to skip reactions whose
     binding leader would not change. `leader` is the leader vehicle's own
-    drive hypothesis, remapped onto `route_id`; None if none leads.
+    drive hypothesis, remapped onto `route_id`; None if none leads, and for
+    the vehicle with the smallest id in a cycle of leaders.
     """
 
     route_id: str
@@ -91,10 +92,9 @@ def route_belief(poses: dict[str, FrenetPose],
     """
     if not poses:
         raise NoCandidateRoute("no candidate route for vehicle")
-    logs = {}
-    for rid, pose in poses.items():
-        logs[rid] = -0.5 * ((pose.phi / params.sigma_phi) ** 2
-                            + (pose.d / params.sigma_d) ** 2)
+    logs = {rid: -0.5 * ((pose.phi / params.sigma_phi) ** 2
+                         + (pose.d / params.sigma_d) ** 2)
+            for rid, pose in poses.items()}
     peak = max(logs.values())
     w = {rid: math.exp(l - peak) for rid, l in logs.items()}
     total = sum(w.values())
@@ -147,7 +147,6 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
     """
     if not graph.must_yield(route.id):
         return params.lambda3
-    occupied = False
     for other_rid, other_traj in prioritized:
         zone = graph.zone_between(route.id, other_rid)
         if zone is None:
@@ -155,15 +154,13 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
         arrival = occupancy_window(drive_traj, zone, route.id)
         if arrival is None:
             continue
-        t_arrive = arrival[0]
         window = occupancy_window(other_traj, zone, other_rid)
         if window is None:
             continue
         t_in, t_out = window
-        if t_in - params.dt_inter <= t_arrive <= t_out + params.dt_inter:
-            occupied = True
-            break
-    return params.lambda1 if occupied else params.lambda2
+        if t_in - params.dt_inter <= arrival[0] <= t_out + params.dt_inter:
+            return params.lambda1
+    return params.lambda2
 
 
 def predict(others: list[VehicleState], graph: RouteGraph,
@@ -182,24 +179,34 @@ def predict(others: list[VehicleState], graph: RouteGraph,
                          for rid, pose in cands.items()}
 
     top = {vid: max(b, key=lambda r: (b[r], r)) for vid, b in beliefs.items()}
-    drives: dict[tuple[str, str], Optional[tuple]] = {}
+    leads = {(vid, rid): _closest_leader(vid, rid, pose.s, beliefs, poses,
+                                         params.delta_r)
+             for vid, cands in poses.items() for rid, pose in cands.items()}
+    drives: dict[tuple[str, str], tuple] = {}
 
-    def drive(vid: str, rid: str) -> Optional[tuple]:
-        """(leader, rollout) of the vehicle driving `rid` behind its leader's
-        own drive on that leader's likeliest route, remapped onto `rid`."""
-        if (vid, rid) not in drives:
-            drives[vid, rid] = None  # being built: a leader cycle ends here
-            start = poses[vid][rid]
-            lid = _closest_leader(vid, rid, start.s, beliefs, poses,
-                                  params.delta_r)
-            ahead = None if lid is None else drive(lid, top[lid])
-            leader = None if ahead is None else ahead[1]
-            if leader is not None and top[lid] != rid:
+    def drive(vid: str, rid: str) -> tuple:
+        """(leader, rollout) of `vid` driving `rid` behind its leader's own
+        drive on that leader's likeliest route, remapped onto `rid`; leaders
+        are built first, and in a leader cycle the smallest id has none."""
+        chain = [(vid, rid)]
+        while chain[-1] not in drives and leads[chain[-1]] is not None:
+            lid = leads[chain[-1]]
+            chain.append((lid, top[lid]))
+            if chain[-1] in chain[:-1]:  # a leader cycle
+                cut = min(chain[chain.index(chain[-1]):-1])
+                leads[cut] = None
+                del chain[chain.index(cut) + 1:]
+        for v, r in reversed(chain):
+            if (v, r) in drives:
+                continue
+            lid = leads[v, r]
+            leader = None if lid is None else drives[lid, top[lid]][1]
+            if leader is not None and top[lid] != r:
                 leader = LongTrajectory(
-                    leader.s + (poses[lid][rid].s - leader.s[0]), leader.v,
+                    leader.s + (poses[lid][r].s - leader.s[0]), leader.v,
                     dt=leader.dt)
-            drives[vid, rid] = (leader, rollout(
-                start, route_profile(graph.routes[rid]), leader=leader,
+            drives[v, r] = (leader, rollout(
+                poses[v][r], route_profile(graph.routes[r]), leader=leader,
                 params=idm_params))
         return drives[vid, rid]
 
@@ -240,14 +247,8 @@ def predict(others: list[VehicleState], graph: RouteGraph,
 def _closest_leader(veh_id: str, route_id: str, s: float, beliefs, poses,
                     delta_r: float) -> Optional[str]:
     """Id of the closest vehicle strictly ahead at `s` on `route_id` whose
-    own belief in that route exceeds delta_r; the first listed on ties."""
-    best = None
-    best_s = math.inf
-    for other, b in beliefs.items():
-        if other == veh_id or b.get(route_id, 0.0) <= delta_r:
-            continue
-        # a route the vehicle believes in is one of its candidates
-        s_other = poses[other][route_id].s
-        if s < s_other < best_s:
-            best, best_s = other, s_other
-    return best
+    own belief in that route exceeds delta_r (so the route is one of its
+    candidates); the first listed on ties."""
+    ahead = [other for other, b in beliefs.items() if other != veh_id
+             and b.get(route_id, 0.0) > delta_r and poses[other][route_id].s > s]
+    return min(ahead, key=lambda other: poses[other][route_id].s, default=None)

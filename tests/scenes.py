@@ -16,7 +16,10 @@ from crossplan import (
     Scenario,
     VehicleSpec,
     VehicleState,
+    arbiter,
+    behavior,
     load_scenario,
+    prediction,
 )
 from crossplan.idm import VEHICLE_LENGTH
 
@@ -124,3 +127,24 @@ def add_random_vehicles(scenario: Scenario, count: int) -> Scenario:
             s=float(rng.uniform(lo, max(lo, 0.6 * route.length))),
             v=float(rng.uniform(0.4, 0.9) * route.speed_limit)))
     return dataclasses.replace(scenario, vehicles=vehicles)
+
+
+# the planning layers that call `rollout` through their own module binding
+ROLLOUT_LAYERS = {"prediction": prediction, "behavior": behavior,
+                  "arbiter": arbiter}
+
+
+def count_rollouts(monkeypatch, counts: dict, on_call=None) -> None:
+    """Wrap each layer's `rollout` binding with `monkeypatch.setattr` so
+    that every call adds one to `counts[layer]` and then calls
+    `on_call(layer)`, if given."""
+    def counted(layer, fn):
+        def wrapper(*args, **kwargs):
+            counts[layer] += 1
+            if on_call is not None:
+                on_call(layer)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer, module in ROLLOUT_LAYERS.items():
+        monkeypatch.setattr(module, "rollout", counted(layer, module.rollout))

@@ -1,6 +1,7 @@
 """Route intention belief, maneuver probabilities, and hypothesis rollouts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -279,7 +280,22 @@ def test_a_queue_rolls_each_vehicle_out_once_behind_its_leaders_drive(
         assert np.array_equal(h.trajectory.v, fresh.v)
 
 
-def test_a_leader_cycle_breaks_to_leaderless():
+def test_a_queue_longer_than_the_recursion_limit_is_predicted():
+    # the chain of leaders is built front to back without recursing once
+    # per vehicle, so its length is not bounded by the interpreter's stack
+    n = sys.getrecursionlimit() + 100
+    road = RouteGraph([line_route("road", (0.0, 0.0), (10.0 * n + 100.0, 0.0),
+                                  n=n + 11)])
+    queue = [VehicleState(f"v{k:05d}", np.array([10.0 * k + 5.0, 0.0]), 0.0,
+                          10.0) for k in range(n)]
+    hyps = predict(queue, road)
+    drives = [hyps[veh.id][0] for veh in queue]
+    for follower, leader in zip(drives, drives[1:]):
+        assert follower.leader is leader.trajectory
+    assert drives[-1].leader is None
+
+
+def test_a_leader_cycle_breaks_at_its_smallest_id():
     # route a laps z's lane twice: on z "B" is ahead of "A", and on a "A",
     # on the second lap, is ahead of "B". Each vehicle's likeliest route is
     # the one on which the other leads it, so the leaders form a cycle
@@ -296,13 +312,21 @@ def test_a_leader_cycle_breaks_to_leaderless():
     top = {vid: max(hs, key=lambda h: h.probability)
            for vid, hs in hyps.items()}
     assert {vid: h.route_id for vid, h in top.items()} == {"A": "z", "B": "a"}
-    # "A" is built first and follows "B"; "B", whose leader "A" is still
-    # being built, drives leaderless
-    assert top["B"].leader is None
-    assert np.array_equal(top["A"].leader.v, top["B"].trajectory.v)
+    # "A", the smallest id in the cycle, drives leaderless and "B" follows it
+    assert top["A"].leader is None
+    assert np.array_equal(top["B"].leader.v, top["A"].trajectory.v)
     for hs in hyps.values():
         for h in hs:
             fresh = rollout(h.start, h.profile, leader=h.leader,
                             stop_at=h.stop_at)
             assert np.array_equal(h.trajectory.s, fresh.s)
             assert np.array_equal(h.trajectory.v, fresh.v)
+    # where the cycle breaks does not depend on the order of the vehicles
+    permuted = predict(others[::-1], graph)
+    assert permuted.keys() == hyps.keys()
+    for vid, hs in hyps.items():
+        assert [(h.route_id, h.maneuver, h.probability) for h in hs] == [
+            (h.route_id, h.maneuver, h.probability) for h in permuted[vid]]
+        for h, g in zip(hs, permuted[vid]):
+            assert np.array_equal(h.trajectory.s, g.trajectory.s)
+            assert np.array_equal(h.trajectory.v, g.trajectory.v)

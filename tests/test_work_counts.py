@@ -6,10 +6,9 @@ vehicle's drive rolled out twice) fails here without any timing."""
 
 import math
 
-from crossplan import SimConfig, arbiter, behavior, load_scenario, prediction
-from crossplan import run
+from crossplan import SimConfig, arbiter, load_scenario, run
 
-from scenes import T_JUNCTION_SCENARIO
+from scenes import ROLLOUT_LAYERS, T_JUNCTION_SCENARIO, count_rollouts
 
 # rollouts per binding over the 8 s episode below
 EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 99, "arbiter": 31}
@@ -18,18 +17,14 @@ EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 99, "arbiter": 31}
 def test_rollouts_per_binding_and_none_after_a_veto(monkeypatch):
     # a_max=2 binds in the left turn, as in planbench's tjunction_comfort
     sc = load_scenario(T_JUNCTION_SCENARIO, overrides={"a_max": "2.0"})
-    counts = dict.fromkeys(EXPECTED_ROLLOUTS, 0)
+    counts = dict.fromkeys(ROLLOUT_LAYERS, 0)
     vetoed = {}  # id -> option, kept alive so ids stay unique
     current = [None]
     late = {"courtesy": 0, "rollout": 0}
 
-    def counted(binding, fn):
-        def wrapper(*args, **kwargs):
-            counts[binding] += 1
-            if binding == "arbiter" and id(current[0]) in vetoed:
-                late["rollout"] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def after_veto(layer):
+        if layer == "arbiter" and id(current[0]) in vetoed:
+            late["rollout"] += 1
 
     def tracked(fn):
         def wrapper(option, hyp, *args, **kwargs):
@@ -42,9 +37,7 @@ def test_rollouts_per_binding_and_none_after_a_veto(monkeypatch):
             return term
         return wrapper
 
-    for binding, mod in (("prediction", prediction), ("behavior", behavior),
-                         ("arbiter", arbiter)):
-        monkeypatch.setattr(mod, "rollout", counted(binding, mod.rollout))
+    count_rollouts(monkeypatch, counts, after_veto)
     for name in ("merge_courtesy", "crossing_courtesy"):
         monkeypatch.setattr(arbiter, name, tracked(getattr(arbiter, name)))
     run(sc, SimConfig(duration=8.0))

@@ -1,11 +1,11 @@
 """Planning work and time per cycle against traffic density.
 
-Runs each bundled scenario with N vehicles added by the test suite's
-`scenes.add_random_vehicles` (N = 0, 10, 20 and 40 by default) for 12 s with
-default parameters, and prints one row per run:
+Runs each bundled scenario in SCENES with N vehicles added by the test
+suite's `scenes.add_random_vehicles` (N in ADDED) for SECONDS simulated
+seconds with default parameters, and prints one row per run:
 
 - the rollouts per planning cycle made through the `rollout` binding of
-  prediction, behavior and the arbiter, counted by wrapping each binding.
+  prediction, behavior and the arbiter, counted by `scenes.count_rollouts`.
   They are a pure function of the scenario, so two checkouts can be
   compared on any machine;
 - the mean, p99 and max raw `plan_ms`. They depend on the machine and its
@@ -13,91 +13,62 @@ default parameters, and prints one row per run:
 - the violations that `collision_check` reports, by kind.
 
     python3 tools/scaling.py
-    python3 tools/scaling.py --vehicles 0 40 --seconds 6 --scenes t_junction
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "planbench"))
+
+import repo  # noqa: E402
+
+repo.make_importable()
+sys.path.append(str(repo.ROOT / "tests"))
 
 # the planner first, so its BLAS pin is in place before numpy loads
-from crossplan import (SimConfig, arbiter, behavior,  # noqa: E402
-                       collision_check, load_scenario, prediction, simloop)
+from crossplan import (SimConfig, collision_check, load_scenario,  # noqa: E402
+                       simloop)
 
 import numpy as np  # noqa: E402
-from scenes import SCENARIO_DIR, add_random_vehicles  # noqa: E402
+import pytest  # noqa: E402
+from scenes import (ROLLOUT_LAYERS, SCENARIO_DIR,  # noqa: E402
+                    add_random_vehicles, count_rollouts)
 
-BINDINGS = {"prediction": prediction, "behavior": behavior,
-            "arbiter": arbiter}
 SCENES = ("merge_rural", "t_junction")
+ADDED = (0, 10, 20, 40)  # vehicles added to each scene
+SECONDS = 12.0
 
 
-@contextmanager
-def counted_rollouts(counts: dict):
-    """Count the calls made through each layer's `rollout` binding."""
-    originals = {name: mod.rollout for name, mod in BINDINGS.items()}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    try:
-        for name, mod in BINDINGS.items():
-            mod.rollout = counted(name, originals[name])
-        yield counts
-    finally:
-        for name, mod in BINDINGS.items():
-            mod.rollout = originals[name]
-
-
-def measure(scene: str, added: int, seconds: float) -> dict:
+def measure(scene: str, added: int) -> dict:
     """One run of `scene` with `added` vehicles: its work, time and
     collision figures."""
     sc = add_random_vehicles(load_scenario(SCENARIO_DIR / f"{scene}.json"),
                              added)
-    counts = dict.fromkeys(BINDINGS, 0)
-    with counted_rollouts(counts):
-        trace = simloop.run(sc, SimConfig(duration=seconds))
+    counts = dict.fromkeys(ROLLOUT_LAYERS, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        count_rollouts(mp, counts)
+        trace = simloop.run(sc, SimConfig(duration=SECONDS))
     # every planning cycle takes some time; the records between them none
     plan_ms = np.array([rec.plan_ms for rec in trace if rec.plan_ms > 0.0])
     cycles = len(plan_ms)
     return {
         "scene": scene, "vehicles": len(sc.vehicles), "cycles": cycles,
-        **{name: n / cycles for name, n in counts.items()},
+        **{layer: n / cycles for layer, n in counts.items()},
         "mean_ms": plan_ms.mean(), "p99_ms": np.percentile(plan_ms, 99),
         "max_ms": plan_ms.max(),
         "collisions": Counter(v["kind"] for v in collision_check(trace, sc)),
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--vehicles", type=int, nargs="+",
-                        default=[0, 10, 20, 40],
-                        help="vehicles added to each scene (default 0 10 20 40)")
-    parser.add_argument("--seconds", type=float, default=12.0,
-                        help="simulated seconds per run (default 12)")
-    parser.add_argument("--scenes", nargs="+", choices=SCENES,
-                        default=list(SCENES), help="bundled scenes to run")
-    args = parser.parse_args(argv)
-    if min(args.vehicles) < 0:
-        parser.error("--vehicles must be >= 0")
-    if not args.seconds >= SimConfig.sim_step:  # at least one cycle
-        parser.error(f"--seconds must be >= {SimConfig.sim_step}")
+def main() -> int:
     print("scene        vehicles cycles | rollouts/cycle: prediction behavior"
           " arbiter | plan_ms (informative): mean p99 max | collisions")
-    for scene in args.scenes:
-        for added in args.vehicles:
-            row = measure(scene, added, args.seconds)
+    for scene in SCENES:
+        for added in ADDED:
+            row = measure(scene, added)
             kinds = " ".join(f"{k}={n}" for k, n in
                              sorted(row["collisions"].items())) or "0"
             print(f"{row['scene']:<12} {row['vehicles']:>8} {row['cycles']:>6}"
