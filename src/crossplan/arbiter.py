@@ -12,7 +12,8 @@ import numpy as np
 from .behavior import FREE, MERGE, STOP, BehaviorKind, BehaviorOption
 from .errors import LengthMismatch, NoOption
 from .geometry import ConflictZone, Route, RouteGraph
-from .idm import (IdmParams, LongTrajectory, VEHICLE_LENGTH, rollout)
+from .idm import (IdmParams, LongTrajectory, VEHICLE_LENGTH, closer_leader,
+                  rollout)
 from .prediction import Hypothesis, occupancy_window
 
 
@@ -120,34 +121,17 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
         if gap_ahead < 0.85 * max(want, idm_params.s0):
             return math.inf
         return 0.0
-    lead = follower.leader
-    if (lead is not None and len(f_traj) == n and f_traj.dt == ref.dt
-            and np.all(lead.s[enter:n] <= ego_s_mapped[enter:n])):
-        # The follower's own leader stays at or behind the ego, so
-        # `_min_leader` would return it unchanged and the reaction would
-        # reproduce the planned trajectory exactly (the `Hypothesis`
-        # invariant, with the prediction's IdmParams).
-        return 0.0
     ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt)
-    react = rollout(follower.start, follower.profile,
-                    leader=_min_leader(follower.leader, ego_as_leader),
+    leader = closer_leader(follower.leader, ego_as_leader)
+    if leader is follower.leader:
+        # The follower's own leader binds throughout: the reaction would
+        # reproduce its plan exactly (the `Hypothesis` invariant).
+        return 0.0
+    react = rollout(follower.start, follower.profile, leader=leader,
                     stop_at=follower.stop_at, n=n, dt=ref.dt,
                     params=idm_params)
-    a_plan = follower.trajectory.accelerations()
-    a_react = react.accelerations()
-    return float(np.mean(np.abs(a_plan - a_react)))
-
-
-def _min_leader(a: Optional[LongTrajectory],
-                b: LongTrajectory) -> LongTrajectory:
-    """Combine two leader trajectories by taking the closer one per step."""
-    if a is None:
-        return b
-    n = min(len(a), len(b))
-    s = np.minimum(a.s[:n], b.s[:n])
-    pick_a = a.s[:n] <= b.s[:n]
-    v = np.where(pick_a, a.v[:n], b.v[:n])
-    return LongTrajectory(s, v, dt=b.dt)
+    return float(np.mean(np.abs(f_traj.accelerations()
+                                - react.accelerations())))
 
 
 def crossing_courtesy(option: BehaviorOption, crosser: Hypothesis,

@@ -74,6 +74,21 @@ class LongTrajectory:
         return int(idx) if idx < len(self.s) else None
 
 
+def closer_leader(a: Optional[LongTrajectory],
+                  b: LongTrajectory) -> LongTrajectory:
+    """The binding one of two leaders: per sample the closer, `a` on ties,
+    over the shorter horizon; `b` when `a` is None, and `a` itself when it
+    binds at every one of its samples."""
+    if a is None:
+        return b
+    n = min(len(a), len(b))
+    pick_a = a.s[:n] <= b.s[:n]
+    if n == len(a) and pick_a.all():
+        return a
+    return LongTrajectory(np.where(pick_a, a.s[:n], b.s[:n]),
+                          np.where(pick_a, a.v[:n], b.v[:n]), dt=b.dt)
+
+
 @dataclass(frozen=True)
 class SpeedProfile:
     """Target speed over arc length on a uniform grid.

@@ -34,7 +34,7 @@ from crossplan.arbiter import (
 )
 from crossplan.behavior import FREE, MERGE, STOP
 from crossplan.errors import LengthMismatch, NoOption
-from crossplan.idm import VEHICLE_LENGTH
+from crossplan.idm import VEHICLE_LENGTH, closer_leader
 from crossplan.prediction import VehicleState
 
 from scenes import (MERGE_SCENARIO, T_JUNCTION_SCENARIO, add_random_vehicles,
@@ -338,7 +338,7 @@ def full_follower_disturbance(option, follower, enter, ego_route, zone,
     ego_as_leader = LongTrajectory(ego_s_mapped, ref.v, dt=ref.dt)
     react = arbiter.rollout(
         follower.start, follower.profile,
-        leader=arbiter._min_leader(follower.leader, ego_as_leader),
+        leader=closer_leader(follower.leader, ego_as_leader),
         stop_at=follower.stop_at, n=n, dt=ref.dt, params=idm_params)
     return float(np.mean(np.abs(f_traj.accelerations()
                                 - react.accelerations())))

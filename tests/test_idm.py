@@ -18,7 +18,8 @@ from crossplan import (
 )
 from crossplan.errors import HorizonMismatch, NonPositiveGap
 from crossplan.idm import (_GAP_EPS, A_LAT_MAX, HARD_DECEL, PROFILE_DECEL,
-                           VEHICLE_LENGTH, route_profile, stop_target)
+                           VEHICLE_LENGTH, closer_leader, route_profile,
+                           stop_target)
 
 from scenes import circle_route, line_route, merge_scenario, t_junction_scenario
 
@@ -146,6 +147,46 @@ def test_trajectory_container_accessors():
     assert traj.first_index_reaching(9.0) is None
     with pytest.raises(ValueError):
         LongTrajectory([0.0], [1.0], dt)
+
+
+def _leader(s, v):
+    return LongTrajectory(np.asarray(s, float), np.asarray(v, float), 0.05)
+
+
+def test_closer_leader_without_a_first_leader_is_the_second():
+    b = _leader([10.0, 11.0, 12.0], [20.0, 20.0, 20.0])
+    assert closer_leader(None, b) is b
+
+
+def test_closer_leader_picks_per_sample_and_ties_go_to_the_first():
+    a = _leader([10.0, 12.0, 14.0, 16.0], [40.0, 40.0, 40.0, 40.0])
+    b = _leader([13.0, 12.0, 13.0, 20.0], [26.0, 24.0, 26.0, 40.0])
+    got = closer_leader(a, b)
+    assert got is not a and got is not b
+    assert got.s.tolist() == [10.0, 12.0, 13.0, 16.0]
+    assert got.v.tolist() == [40.0, 40.0, 26.0, 40.0]  # tie at sample 1: a
+
+
+def test_closer_leader_is_the_first_exactly_when_it_binds_throughout():
+    a = _leader([10.0, 11.0, 12.0], [20.0, 20.0, 20.0])
+    ahead = _leader([10.0, 15.0, np.inf], [20.0, 30.0, 30.0])  # ties, then far
+    assert closer_leader(a, ahead) is a
+    for k in range(3):
+        s = np.array(ahead.s)
+        s[k] = a.s[k] - 0.5  # closer at one sample
+        assert closer_leader(a, _leader(s, ahead.v)) is not a
+
+
+def test_closer_leader_is_as_long_as_the_shorter_input():
+    near = _leader(np.arange(6.0), np.ones(6))
+    far = _leader(np.arange(4.0) + 100.0, np.ones(4))
+    got = closer_leader(near, far)  # `near` binds at every shared sample
+    assert got is not near and len(got) == 4
+    assert got.s.tolist() == near.s[:4].tolist()
+    assert len(closer_leader(far, near)) == 4
+    short_near = _leader(near.s[:4], near.v[:4])
+    assert closer_leader(short_near, _leader(near.s + 50.0, near.v)) \
+        is short_near
 
 
 def test_idm_params_validation():
