@@ -13,8 +13,8 @@ import numpy as np
 from .errors import NoEgoRoute
 from .geometry import ConflictZone, Route, RouteGraph
 from .idm import (PROFILE_STEP, IdmParams, LongState, LongTrajectory,
-                  SpeedProfile, rollout, route_profile, stop_target,
-                  target_speed_profile)
+                  SpeedProfile, closer_leader, rollout, route_profile,
+                  stop_target, target_speed_profile)
 from .prediction import Hypothesis, PredictorParams
 
 FREE = "follow_or_free"
@@ -153,8 +153,8 @@ def generate_options(ego: LongState, ego_route: Route,
                                           ego_route, ego, idm_params)
                 if vl is None:
                     continue
-                ref = rollout(ego, profile, leader=vl.trajectory,
-                              params=idm_params)
+                ref = rollout(ego, profile, params=idm_params,
+                              leader=closer_leader(leader, vl.trajectory))
                 merges.append(BehaviorOption(
                     kind=BehaviorKind(MERGE, target_vehicle=vid),
                     reference=ref, virtual_leader=vl))

@@ -66,10 +66,10 @@ class Hypothesis:
     Invariant: `trajectory` is `rollout(start, profile, leader, stop_at)`
     on the planning grid with the prediction's `IdmParams`, so
     re-simulating it from this context with the same parameters reproduces
-    it bit for bit. The arbiter relies on this to skip reactions whose
-    binding leader would not change. `leader` is the leader vehicle's own
-    drive hypothesis, remapped onto `route_id`; None if none leads, and for
-    the vehicle with the smallest id in a cycle of leaders.
+    it bit for bit, so the arbiter skips a reaction whose `idm.closer_leader`
+    is `leader` itself. `leader` is the leader vehicle's own drive
+    hypothesis, remapped onto `route_id`; None if none leads, and for the
+    vehicle with the smallest id in a cycle of leaders.
     """
 
     route_id: str

@@ -229,9 +229,11 @@ def test_criterion_7_planning_cycle_runtime():
     ms = [r.plan_ms for r in trace if r.plan_ms > 0.0]
     ms = ms[1:]  # first cycle fills the speed-profile caches
     mean, worst = float(np.mean(ms)), float(np.max(ms))
+    collisions = collision_check(trace, sc)
     _report(7, "planning cycle runtime",
-            mean < 50.0 and worst < 150.0,
-            f"mean {mean:.1f} ms, max {worst:.1f} ms over {len(ms)} cycles")
+            mean < 50.0 and worst < 150.0 and not collisions,
+            f"mean {mean:.1f} ms, max {worst:.1f} ms over {len(ms)} cycles, "
+            f"{len(collisions)} collision ticks")
 
 
 def test_criterion_8_property_suites():

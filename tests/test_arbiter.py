@@ -415,7 +415,7 @@ def test_score_options_equals_the_full_loop_on_the_merge_scene(last):
 
 
 @pytest.mark.parametrize("scene, seed, extra", [
-    (MERGE_SCENARIO, 1, 15), (MERGE_SCENARIO, 2, 15),
+    (MERGE_SCENARIO, 1, 5), (MERGE_SCENARIO, 2, 5),
     (T_JUNCTION_SCENARIO, 0, 15), (T_JUNCTION_SCENARIO, 3, 25)])
 def test_score_options_equals_the_full_loop_in_dense_traffic(scene, seed,
                                                              extra):
