@@ -84,9 +84,10 @@ def _coerce(key: str, current, value):
 
 
 def _as_bool(value) -> bool:
+    """A bool, or text that spells one; a number (JSON 1 or 0) is not."""
     if isinstance(value, bool):
         return value
-    text = str(value).strip().lower()
+    text = value.strip().lower() if isinstance(value, str) else None
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
