@@ -10,7 +10,9 @@ seconds with default parameters, and prints one row per run:
   compared on any machine;
 - the mean, p99 and max raw `plan_ms`. They depend on the machine and its
   load and are informative only;
-- the violations that `collision_check` reports, by kind.
+- the ego's progress (m, the path length that planbench reports as
+  `ego_progress_m`) beside the violations that `collision_check` reports,
+  by kind, so a run that avoids collisions by holding back shows it.
 
     python3 tools/scaling.py
 """
@@ -32,6 +34,7 @@ sys.path.append(str(repo.ROOT / "tests"))
 from crossplan import (SimConfig, collision_check, load_scenario,  # noqa: E402
                        simloop)
 
+import checks  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from scenes import (ROLLOUT_LAYERS, SCENARIO_DIR,  # noqa: E402
@@ -43,8 +46,8 @@ SECONDS = 12.0
 
 
 def measure(scene: str, added: int) -> dict:
-    """One run of `scene` with `added` vehicles: its work, time and
-    collision figures."""
+    """One run of `scene` with `added` vehicles: its work, time, progress
+    and collision figures."""
     sc = add_random_vehicles(load_scenario(SCENARIO_DIR / f"{scene}.json"),
                              added)
     counts = dict.fromkeys(ROLLOUT_LAYERS, 0)
@@ -58,14 +61,15 @@ def measure(scene: str, added: int) -> dict:
         "scene": scene, "vehicles": len(sc.vehicles), "cycles": cycles,
         **{layer: n / cycles for layer, n in counts.items()},
         "mean_ms": plan_ms.mean(), "p99_ms": np.percentile(plan_ms, 99),
-        "max_ms": plan_ms.max(),
+        "max_ms": plan_ms.max(), "progress_m": checks.path_length(trace),
         "collisions": Counter(v["kind"] for v in collision_check(trace, sc)),
     }
 
 
 def main() -> int:
     print("scene        vehicles cycles | rollouts/cycle: prediction behavior"
-          " arbiter | plan_ms (informative): mean p99 max | collisions")
+          " arbiter | plan_ms (informative): mean p99 max | progress_m"
+          " collisions")
     for scene in SCENES:
         for added in ADDED:
             row = measure(scene, added)
@@ -74,7 +78,8 @@ def main() -> int:
             print(f"{row['scene']:<12} {row['vehicles']:>8} {row['cycles']:>6}"
                   f" | {row['prediction']:10.2f} {row['behavior']:8.2f}"
                   f" {row['arbiter']:7.2f} | {row['mean_ms']:6.1f}"
-                  f" {row['p99_ms']:6.1f} {row['max_ms']:6.1f} | {kinds}")
+                  f" {row['p99_ms']:6.1f} {row['max_ms']:6.1f}"
+                  f" | {row['progress_m']:10.1f} {kinds}")
     return 0
 
 
