@@ -129,17 +129,6 @@ def test_scenario_params_block_applies_before_overrides():
     assert sc.params.arbiter.dt_max == 2.0
 
 
-@pytest.mark.parametrize("value", [1, 0, 1.0])
-def test_params_block_boolean_takes_only_true_or_false(value):
-    # a JSON number is no bool; `--set` text such as "1" still parses
-    raw = tiny_scenario_dict()
-    raw["params"] = {"use_virtual_leader": value}
-    with pytest.raises(ScenarioError, match="cannot parse boolean"):
-        scenario_from_dict(raw)
-    raw["params"] = {"use_virtual_leader": bool(value)}
-    assert scenario_from_dict(raw).params.use_virtual_leader is bool(value)
-
-
 @pytest.mark.parametrize("mutate,match", [
     (lambda r: r.pop("routes"), "missing 'routes'"),
     (lambda r: r.pop("duration"), "missing 'duration'"),
