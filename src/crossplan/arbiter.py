@@ -128,8 +128,7 @@ def _follower_disturbance(option: BehaviorOption, follower: Hypothesis,
         # reproduce its plan exactly (the `Hypothesis` invariant).
         return 0.0
     react = rollout(follower.start, follower.profile, leader=leader,
-                    stop_at=follower.stop_at, n=n, dt=ref.dt,
-                    params=idm_params)
+                    stop_at=follower.stop_at, params=idm_params)
     return float(np.mean(np.abs(f_traj.accelerations()
                                 - react.accelerations())))
 

@@ -15,7 +15,8 @@ from .geometry import ConflictZone, Route, RouteGraph
 from .idm import (PROFILE_STEP, IdmParams, LongState, LongTrajectory,
                   SpeedProfile, closer_leader, rollout, route_profile,
                   stop_target, target_speed_profile)
-from .prediction import Hypothesis, PredictorParams
+from .prediction import (DRIVE, Hypothesis, PredictorParams,
+                         closest_leader)
 
 FREE = "follow_or_free"
 STOP = "stop"
@@ -167,20 +168,15 @@ def generate_options(ego: LongState, ego_route: Route,
 def _ego_route_leader(ego: LongState, route_id: str,
                       predictions: dict[str, list[Hypothesis]],
                       pred_params: PredictorParams) -> Optional[LongTrajectory]:
-    """Most likely trajectory of the closest predicted vehicle ahead of the
-    ego on its own route."""
-    best = None
-    best_s = math.inf
-    for vid in sorted(predictions):
-        on_route = [h for h in predictions[vid] if h.route_id == route_id]
-        if not on_route:
-            continue
-        route_p = sum(h.probability for h in on_route)
-        if route_p < pred_params.delta_r:
-            continue
-        top = max(on_route, key=lambda h: h.probability)
-        s_now = float(top.trajectory.s[0])
-        if s_now > ego.s and s_now < best_s:
-            best_s = s_now
-            best = top.trajectory
-    return best
+    """Drive hypothesis on the ego's route of the vehicle that
+    `closest_leader` makes the ego's leader there, weighing each vehicle
+    by its summed hypothesis probability on that route."""
+    hyps = {vid: [h for h in hs if h.route_id == route_id]
+            for vid, hs in predictions.items()}
+    on_route = {vid: (sum(h.probability for h in hs),
+                      float(hs[0].trajectory.s[0]))
+                for vid, hs in hyps.items() if hs}
+    lid = closest_leader(ego.s, on_route, pred_params.delta_r)
+    if lid is None:
+        return None
+    return next(h.trajectory for h in hyps[lid] if h.maneuver == DRIVE)

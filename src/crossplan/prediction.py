@@ -179,8 +179,11 @@ def predict(others: list[VehicleState], graph: RouteGraph,
                          for rid, pose in cands.items()}
 
     top = {vid: max(b, key=lambda r: (b[r], r)) for vid, b in beliefs.items()}
-    leads = {(vid, rid): _closest_leader(vid, rid, pose.s, beliefs, poses,
-                                         params.delta_r)
+    on_route: dict[str, dict[str, tuple[float, float]]] = {}
+    for vid, cands in poses.items():
+        for rid, pose in cands.items():
+            on_route.setdefault(rid, {})[vid] = (beliefs[vid][rid], pose.s)
+    leads = {(vid, rid): closest_leader(pose.s, on_route[rid], params.delta_r)
              for vid, cands in poses.items() for rid, pose in cands.items()}
     drives: dict[tuple[str, str], tuple] = {}
 
@@ -244,11 +247,12 @@ def predict(others: list[VehicleState], graph: RouteGraph,
     return result
 
 
-def _closest_leader(veh_id: str, route_id: str, s: float, beliefs, poses,
-                    delta_r: float) -> Optional[str]:
-    """Id of the closest vehicle strictly ahead at `s` on `route_id` whose
-    own belief in that route exceeds delta_r (so the route is one of its
-    candidates); the first listed on ties."""
-    ahead = [other for other, b in beliefs.items() if other != veh_id
-             and b.get(route_id, 0.0) > delta_r and poses[other][route_id].s > s]
-    return min(ahead, key=lambda other: poses[other][route_id].s, default=None)
+def closest_leader(s: float, on_route: dict[str, tuple[float, float]],
+                   delta_r: float) -> Optional[str]:
+    """Id of the closest vehicle strictly ahead of arc length `s` on a route
+    whose belief in that route exceeds delta_r; `on_route` maps vehicle id
+    to (belief in the route, arc length on it). The smallest id wins a tie.
+    This is the one rule for who leads, in prediction and for the ego."""
+    ahead = [(pos, vid) for vid, (belief, pos) in on_route.items()
+             if belief > delta_r and pos > s]
+    return min(ahead, default=(None, None))[1]

@@ -13,7 +13,7 @@ import numpy as np
 from . import arbiter, behavior, optimizer, prediction
 from .behavior import BehaviorKind
 from .geometry import Route, project_to_route
-from .idm import DT, VEHICLE_LENGTH, LongState, idm_acceleration
+from .idm import _GAP_EPS, DT, VEHICLE_LENGTH, LongState, idm_acceleration
 from .optimizer import N_OPT
 from .scenario import IDM_AGENT, Scenario
 from .prediction import VehicleState
@@ -57,10 +57,10 @@ class _Agent:
 
     def step(self, leader_gap: Optional[float], leader_dv: float, idm_params):
         if self.spec.agent == IDM_AGENT:
-            gap = leader_gap if leader_gap is not None and leader_gap > 0.1 else None
+            # a tiny gap is floored as in `idm.rollout`, so the agent brakes
+            gap = None if leader_gap is None else max(leader_gap, _GAP_EPS)
             a = idm_acceleration(self.v, self.route.speed_limit, gap,
-                                 leader_dv if gap is not None else None,
-                                 idm_params)
+                                 leader_dv, idm_params)
         else:
             a = self.rng.uniform(-1.0, 1.0)
         self.s += self.v * DT

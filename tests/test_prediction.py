@@ -23,7 +23,7 @@ from crossplan.errors import NoCandidateRoute
 from crossplan.geometry import ConflictZone, project_to_route
 from crossplan.idm import VEHICLE_LENGTH
 from crossplan.prediction import (MERGE_ZONE_EXTENT, candidate_routes,
-                                  occupancy_window)
+                                  closest_leader, occupancy_window)
 
 from scenes import (line_route, merge_graph, random_scene, reaching_at,
                     t_junction_graph)
@@ -330,3 +330,37 @@ def test_a_leader_cycle_breaks_at_its_smallest_id():
         for h, g in zip(hs, permuted[vid]):
             assert np.array_equal(h.trajectory.s, g.trajectory.s)
             assert np.array_equal(h.trajectory.v, g.trajectory.v)
+
+
+def test_closest_leader_is_the_nearest_believer_strictly_ahead():
+    on_route = {"far": (0.9, 80.0), "near": (0.9, 50.0), "here": (0.9, 20.0),
+                "behind": (0.9, 10.0), "doubter": (0.1, 30.0)}
+    assert closest_leader(20.0, on_route, 0.1) == "near"
+    # a vehicle level with `s` is not ahead of it, so none leads itself
+    assert closest_leader(50.0, on_route, 0.1) == "far"
+    # a belief equal to delta_r is not enough; one above it is
+    assert closest_leader(25.0, on_route, 0.1) == "near"
+    assert closest_leader(25.0, on_route, 0.09) == "doubter"
+    assert closest_leader(80.0, on_route, 0.1) is None
+    assert closest_leader(0.0, {}, 0.1) is None
+    # the smallest id wins a tie, whatever the order of the mapping
+    tie = {"b": (0.5, 40.0), "a": (0.5, 40.0), "c": (0.5, 60.0)}
+    assert closest_leader(0.0, tie, 0.1) == "a"
+    assert closest_leader(0.0, dict(reversed(tie.items())), 0.1) == "a"
+
+
+def test_a_tie_for_the_lead_goes_to_the_smallest_id():
+    # two vehicles level ahead of a follower, side by side in its lane, at
+    # different speeds: the follower follows "L1" in either listing order
+    road = RouteGraph([line_route("road", (0.0, 0.0), (300.0, 0.0))])
+    follower = VehicleState("F", np.array([10.0, 0.0]), 0.0, 8.0)
+    slow = VehicleState("L1", np.array([40.0, 0.5]), 0.0, 2.0)
+    fast = VehicleState("L2", np.array([40.0, -0.5]), 0.0, 12.0)
+    for others in ([follower, slow, fast], [follower, fast, slow]):
+        hyps = predict(others, road)
+        assert hyps["L1"][0].start.s == hyps["L2"][0].start.s
+        assert hyps["F"][0].leader is hyps["L1"][0].trajectory
+    ahead = predict([follower, slow, fast], road)["F"][0].trajectory
+    behind = predict([follower, fast, slow], road)["F"][0].trajectory
+    assert np.array_equal(ahead.s, behind.s)
+    assert np.array_equal(ahead.v, behind.v)

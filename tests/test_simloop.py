@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from crossplan import (
+    IdmParams,
     SimConfig,
     TraceRecord,
+    VehicleSpec,
     collision_check,
     run,
     scenario_from_dict,
+    simloop,
 )
 from crossplan.errors import ScenarioError
 from crossplan.idm import VEHICLE_LENGTH
 from crossplan.scenario import DOUBLE_INTEGRATOR, IDM_AGENT
 
-from scenes import tiny_scenario_dict
+from scenes import line_route, tiny_scenario_dict
 
 VEHICLES = [{"id": "a", "route": "main", "s": 5.0, "v": 12.0},
             {"id": "b", "route": "main", "s": 40.0, "v": 11.0}]
@@ -143,3 +146,22 @@ def test_idm_agent_keeps_a_gap_behind_a_slow_vehicle():
     assert v_end < 5.0  # it braked down to the slow vehicle's speed
     # a double integrator in the same place drives into the slow vehicle
     assert min(follower_gaps(DOUBLE_INTEGRATOR)[0]) < 0.0
+
+
+@pytest.mark.parametrize("gap", [0.08, 0.01, 0.001])
+def test_idm_agent_brakes_at_a_tiny_gap(gap):
+    # 5 m/s behind a standing vehicle: the closer, the harder it brakes;
+    # a gap of a few centimetres is no free road
+    road = line_route("road", (0.0, 0.0), (300.0, 0.0))
+
+    def speed_after_one_step(gap):
+        rng = np.random.default_rng(0)
+        agents = [simloop._Agent(VehicleSpec("f", "road", 10.0, 5.0,
+                                             IDM_AGENT), road, rng),
+                  simloop._Agent(VehicleSpec("stand", "road",
+                                             10.0 + VEHICLE_LENGTH + gap, 0.0,
+                                             IDM_AGENT), road, rng)]
+        agents[0].step(*simloop._agent_leader(agents[0], agents), IdmParams())
+        return agents[0].v
+
+    assert speed_after_one_step(gap) <= speed_after_one_step(0.5) < 5.0
