@@ -173,10 +173,8 @@ def _ego_route_leader(ego: LongState, route_id: str,
     by its summed hypothesis probability on that route."""
     hyps = {vid: [h for h in hs if h.route_id == route_id]
             for vid, hs in predictions.items()}
-    on_route = {vid: (sum(h.probability for h in hs),
-                      float(hs[0].trajectory.s[0]))
+    on_route = {vid: (sum(h.probability for h in hs), hs[0].trajectory.s[0])
                 for vid, hs in hyps.items() if hs}
     lid = closest_leader(ego.s, on_route, pred_params.delta_r)
-    if lid is None:
-        return None
-    return next(h.trajectory for h in hyps[lid] if h.maneuver == DRIVE)
+    return None if lid is None else next(
+        h.trajectory for h in hyps[lid] if h.maneuver == DRIVE)

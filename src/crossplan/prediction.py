@@ -67,9 +67,8 @@ class Hypothesis:
     on the planning grid with the prediction's `IdmParams`, so
     re-simulating it from this context with the same parameters reproduces
     it bit for bit, so the arbiter skips a reaction whose `idm.closer_leader`
-    is `leader` itself. `leader` is the leader vehicle's own drive
-    hypothesis, remapped onto `route_id`; None if none leads, and for the
-    vehicle with the smallest id in a cycle of leaders.
+    is `leader` itself. `leader` is the drive hypothesis on `route_id` of
+    the vehicle that `closest_leader` picks; None if none leads.
     """
 
     route_id: str
@@ -170,47 +169,35 @@ def predict(others: list[VehicleState], graph: RouteGraph,
     Every rollout starts at the current states."""
     beliefs: dict[str, dict[str, float]] = {}
     poses: dict[str, dict[str, LongState]] = {}
+    on_route: dict[str, dict[str, tuple[float, float]]] = {}
     for veh in others:
         cands = candidate_routes(veh, graph)
         if not cands:
             continue  # vehicle left the mapped area; nothing to predict
-        beliefs[veh.id] = route_belief(cands, params)
+        belief = beliefs[veh.id] = route_belief(cands, params)
         poses[veh.id] = {rid: LongState(pose.s, veh.speed)
                          for rid, pose in cands.items()}
+        for rid, pose in cands.items():
+            on_route.setdefault(rid, {})[veh.id] = (belief[rid], pose.s)
 
     top = {vid: max(b, key=lambda r: (b[r], r)) for vid, b in beliefs.items()}
-    on_route: dict[str, dict[str, tuple[float, float]]] = {}
-    for vid, cands in poses.items():
-        for rid, pose in cands.items():
-            on_route.setdefault(rid, {})[vid] = (beliefs[vid][rid], pose.s)
     leads = {(vid, rid): closest_leader(pose.s, on_route[rid], params.delta_r)
              for vid, cands in poses.items() for rid, pose in cands.items()}
     drives: dict[tuple[str, str], tuple] = {}
 
     def drive(vid: str, rid: str) -> tuple:
         """(leader, rollout) of `vid` driving `rid` behind its leader's own
-        drive on that leader's likeliest route, remapped onto `rid`; leaders
-        are built first, and in a leader cycle the smallest id has none."""
-        chain = [(vid, rid)]
-        while chain[-1] not in drives and leads[chain[-1]] is not None:
-            lid = leads[chain[-1]]
-            chain.append((lid, top[lid]))
-            if chain[-1] in chain[:-1]:  # a leader cycle
-                cut = min(chain[chain.index(chain[-1]):-1])
-                leads[cut] = None
-                del chain[chain.index(cut) + 1:]
-        for v, r in reversed(chain):
-            if (v, r) in drives:
-                continue
-            lid = leads[v, r]
-            leader = None if lid is None else drives[lid, top[lid]][1]
-            if leader is not None and top[lid] != r:
-                leader = LongTrajectory(
-                    leader.s + (poses[lid][r].s - leader.s[0]), leader.v,
-                    dt=leader.dt)
-            drives[v, r] = (leader, rollout(
-                poses[v][r], route_profile(graph.routes[r]), leader=leader,
-                params=idm_params))
+        drive on `rid`, leaders first; a leader is strictly ahead."""
+        chain, v = [], vid
+        while v is not None and (v, rid) not in drives:
+            chain.append(v)
+            v = leads[v, rid]
+        for v in reversed(chain):
+            lid = leads[v, rid]
+            leader = None if lid is None else drives[lid, rid][1]
+            drives[v, rid] = (leader, rollout(
+                poses[v][rid], route_profile(graph.routes[rid]),
+                leader=leader, params=idm_params))
         return drives[vid, rid]
 
     result: dict[str, list[Hypothesis]] = {}
@@ -251,8 +238,8 @@ def closest_leader(s: float, on_route: dict[str, tuple[float, float]],
                    delta_r: float) -> Optional[str]:
     """Id of the closest vehicle strictly ahead of arc length `s` on a route
     whose belief in that route exceeds delta_r; `on_route` maps vehicle id
-    to (belief in the route, arc length on it). The smallest id wins a tie.
-    This is the one rule for who leads, in prediction and for the ego."""
+    to (belief in the route, arc length on it); the smallest id on a tie.
+    Prediction and the ego's options take every leader from here."""
     ahead = [(pos, vid) for vid, (belief, pos) in on_route.items()
              if belief > delta_r and pos > s]
     return min(ahead, default=(None, None))[1]

@@ -135,7 +135,7 @@ def _agent_leader(agent: _Agent, agents: list[_Agent]):
         if other is agent or other.route.id != agent.route.id:
             continue
         gap = other.s - agent.s - VEHICLE_LENGTH
-        if gap > 0 and (best_gap is None or gap < best_gap):
+        if other.s > agent.s and (best_gap is None or gap < best_gap):
             best_gap = gap
             best_dv = agent.v - other.v
     return (best_gap, best_dv)

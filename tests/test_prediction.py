@@ -14,6 +14,7 @@ from crossplan import (
     RouteGraph,
     VehicleState,
     drive_probability,
+    generate_options,
     predict,
     prediction,
     rollout,
@@ -295,10 +296,10 @@ def test_a_queue_longer_than_the_recursion_limit_is_predicted():
     assert drives[-1].leader is None
 
 
-def test_a_leader_cycle_breaks_at_its_smallest_id():
+def test_each_follower_follows_its_leaders_drive_on_its_own_route():
     # route a laps z's lane twice: on z "B" is ahead of "A", and on a "A",
-    # on the second lap, is ahead of "B". Each vehicle's likeliest route is
-    # the one on which the other leads it, so the leaders form a cycle
+    # on the second lap, is ahead of "B". Each leads the other on one route,
+    # but a leader is followed on the follower's route, so no chain closes
     z = line_route("z", (0.0, 0.0), (100.0, 0.0))
     lap1 = [[x, -0.05] for x in np.linspace(0.0, 100.0, 21)]
     loop = [[130.0, -30.0], [50.0, -60.0], [-30.0, -30.0]]
@@ -309,19 +310,11 @@ def test_a_leader_cycle_breaks_at_its_smallest_id():
     others = [VehicleState("A", np.array([20.0, 0.02]), 0.0, 10.0),
               VehicleState("B", np.array([30.0, -0.05]), 0.0, 10.0)]
     hyps = predict(others, graph)
-    top = {vid: max(hs, key=lambda h: h.probability)
-           for vid, hs in hyps.items()}
-    assert {vid: h.route_id for vid, h in top.items()} == {"A": "z", "B": "a"}
-    # "A", the smallest id in the cycle, drives leaderless and "B" follows it
-    assert top["A"].leader is None
-    assert np.array_equal(top["B"].leader.v, top["A"].trajectory.v)
-    for hs in hyps.values():
-        for h in hs:
-            fresh = rollout(h.start, h.profile, leader=h.leader,
-                            stop_at=h.stop_at)
-            assert np.array_equal(h.trajectory.s, fresh.s)
-            assert np.array_equal(h.trajectory.v, fresh.v)
-    # where the cycle breaks does not depend on the order of the vehicles
+    on = {(vid, h.route_id): h for vid, hs in hyps.items() for h in hs}
+    assert set(on) == {("A", "z"), ("A", "a"), ("B", "z"), ("B", "a")}
+    assert on["A", "z"].leader is on["B", "z"].trajectory
+    assert on["B", "a"].leader is on["A", "a"].trajectory
+    assert on["B", "z"].leader is None and on["A", "a"].leader is None
     permuted = predict(others[::-1], graph)
     assert permuted.keys() == hyps.keys()
     for vid, hs in hyps.items():
@@ -330,6 +323,48 @@ def test_a_leader_cycle_breaks_at_its_smallest_id():
         for h, g in zip(hs, permuted[vid]):
             assert np.array_equal(h.trajectory.s, g.trajectory.s)
             assert np.array_equal(h.trajectory.v, g.trajectory.v)
+
+
+def test_a_follower_in_a_shared_lane_follows_its_leaders_drive_there():
+    # past the junction `side` runs in `north`'s lane, so a vehicle there
+    # believes both routes equally; a follower on `north` follows that
+    # vehicle's `north` drive, not its drive toward `side`'s faster limit
+    north = T_JUNCTION.routes["north"]
+    s_join = T_JUNCTION.zone_between("side", "north").start["north"]
+    lead = VehicleState("lead", north.centerline.point_at(s_join + 30.0),
+                        north.centerline.heading_at(s_join + 30.0), 8.0)
+    back = VehicleState("back", north.centerline.point_at(s_join - 50.0),
+                        north.centerline.heading_at(s_join - 50.0), 8.0)
+    assert route_belief(candidate_routes(lead, T_JUNCTION)) == {
+        "north": 0.5, "side": 0.5}
+    hyps = predict([lead, back], T_JUNCTION)
+    followed = next(h for h in hyps["lead"] if h.route_id == "north")
+    follower = next(h for h in hyps["back"] if h.route_id == "north")
+    assert follower.leader.v.max() <= north.speed_limit
+    assert follower.leader is followed.trajectory
+
+
+@pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
+def test_the_free_reference_is_the_drive_of_a_vehicle_in_the_egos_place(
+        graph):
+    # one leader rule for every follower: the ego's follow-or-free option is
+    # bit for bit the drive hypothesis of a predicted vehicle at its state
+    compared = 0
+    for seed in range(30):
+        others = random_scene(graph, np.random.default_rng(seed), 12)
+        preds = predict(others, graph)
+        for vid, hyps in preds.items():
+            rest = {o: hs for o, hs in preds.items() if o != vid}
+            for h in hyps:
+                if h.maneuver != "drive":
+                    continue
+                free = generate_options(h.start, graph.routes[h.route_id],
+                                        rest, graph, include_merge=False)[0]
+                assert free.kind.name == "follow_or_free"
+                assert np.array_equal(free.reference.s, h.trajectory.s)
+                assert np.array_equal(free.reference.v, h.trajectory.v)
+                compared += h.leader is not None
+    assert compared > 100  # most of the compared drives follow a leader
 
 
 def test_closest_leader_is_the_nearest_believer_strictly_ahead():
@@ -356,11 +391,11 @@ def test_a_tie_for_the_lead_goes_to_the_smallest_id():
     follower = VehicleState("F", np.array([10.0, 0.0]), 0.0, 8.0)
     slow = VehicleState("L1", np.array([40.0, 0.5]), 0.0, 2.0)
     fast = VehicleState("L2", np.array([40.0, -0.5]), 0.0, 12.0)
+    drives = []
     for others in ([follower, slow, fast], [follower, fast, slow]):
         hyps = predict(others, road)
         assert hyps["L1"][0].start.s == hyps["L2"][0].start.s
         assert hyps["F"][0].leader is hyps["L1"][0].trajectory
-    ahead = predict([follower, slow, fast], road)["F"][0].trajectory
-    behind = predict([follower, fast, slow], road)["F"][0].trajectory
-    assert np.array_equal(ahead.s, behind.s)
-    assert np.array_equal(ahead.v, behind.v)
+        drives.append(hyps["F"][0].trajectory)
+    assert np.array_equal(drives[0].s, drives[1].s)
+    assert np.array_equal(drives[0].v, drives[1].v)

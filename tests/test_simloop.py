@@ -148,10 +148,10 @@ def test_idm_agent_keeps_a_gap_behind_a_slow_vehicle():
     assert min(follower_gaps(DOUBLE_INTEGRATOR)[0]) < 0.0
 
 
-@pytest.mark.parametrize("gap", [0.08, 0.01, 0.001])
+@pytest.mark.parametrize("gap", [0.08, 0.01, 0.001, 0.0, -0.3])
 def test_idm_agent_brakes_at_a_tiny_gap(gap):
     # 5 m/s behind a standing vehicle: the closer, the harder it brakes;
-    # a gap of a few centimetres is no free road
+    # a gap of a few centimetres, or none, is no free road
     road = line_route("road", (0.0, 0.0), (300.0, 0.0))
 
     def speed_after_one_step(gap):
