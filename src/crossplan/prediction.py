@@ -180,26 +180,21 @@ def predict(others: list[VehicleState], graph: RouteGraph,
         for rid, pose in cands.items():
             on_route.setdefault(rid, {})[veh.id] = (belief[rid], pose.s)
 
-    top = {vid: max(b, key=lambda r: (b[r], r)) for vid, b in beliefs.items()}
-    leads = {(vid, rid): closest_leader(pose.s, on_route[rid], params.delta_r)
-             for vid, cands in poses.items() for rid, pose in cands.items()}
+    # each route's vehicles front to back: a leader is strictly ahead, so
+    # its drive exists before its followers follow it
     drives: dict[tuple[str, str], tuple] = {}
-
-    def drive(vid: str, rid: str) -> tuple:
-        """(leader, rollout) of `vid` driving `rid` behind its leader's own
-        drive on `rid`, leaders first; a leader is strictly ahead."""
-        chain, v = [], vid
-        while v is not None and (v, rid) not in drives:
-            chain.append(v)
-            v = leads[v, rid]
-        for v in reversed(chain):
-            lid = leads[v, rid]
+    for rid, vehicles in on_route.items():
+        profile = route_profile(graph.routes[rid])
+        for vid, (belief, s) in sorted(vehicles.items(),
+                                       key=lambda item: -item[1][1]):
+            if belief <= 0.0:
+                continue
+            lid = closest_leader(s, vehicles, params.delta_r)
             leader = None if lid is None else drives[lid, rid][1]
-            drives[v, rid] = (leader, rollout(
-                poses[v][rid], route_profile(graph.routes[rid]),
-                leader=leader, params=idm_params))
-        return drives[vid, rid]
+            drives[vid, rid] = (leader, rollout(
+                poses[vid][rid], profile, leader=leader, params=idm_params))
 
+    top = {vid: max(b, key=lambda r: (b[r], r)) for vid, b in beliefs.items()}
     result: dict[str, list[Hypothesis]] = {}
     for vid in beliefs:
         hypotheses = []
@@ -210,8 +205,8 @@ def predict(others: list[VehicleState], graph: RouteGraph,
             route = graph.routes[rid]
             start = poses[vid][rid]
             profile = route_profile(route)
-            leader, drive_traj = drive(vid, rid)
-            prioritized = [(top[o], drive(o, top[o])[1]) for o in top
+            leader, drive_traj = drives[vid, rid]
+            prioritized = [(top[o], drives[o, top[o]][1]) for o in top
                            if o != vid and graph.has_priority_over(top[o], rid)]
             p_drive = drive_probability(route, drive_traj, prioritized, graph,
                                         params)
