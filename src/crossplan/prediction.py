@@ -61,7 +61,8 @@ class VehicleState:
 
 @dataclass
 class Hypothesis:
-    """One (route, maneuver) prediction of a vehicle with its rollout.
+    """One (route, maneuver) prediction of a vehicle with its rollout;
+    `probability` is the vehicle's route belief times P(maneuver | route).
 
     Invariant: `trajectory` is `rollout(start, profile, leader, stop_at)`
     on the planning grid with the prediction's `IdmParams`, so
@@ -165,8 +166,12 @@ def drive_probability(route: Route, drive_traj: LongTrajectory,
 def predict(others: list[VehicleState], graph: RouteGraph,
             idm_params: IdmParams = IdmParams(),
             params: PredictorParams = PredictorParams()) -> dict[str, list[Hypothesis]]:
-    """Hypothesis sets for every non-ego vehicle; probabilities sum to 1.
-    Every rollout starts at the current states."""
+    """Hypothesis sets for every non-ego vehicle. A hypothesis's probability
+    is the route belief times P(maneuver | route), so a vehicle's
+    hypotheses on a route sum to its belief in that route and over all its
+    routes to 1. A route whose belief is 0 gets none, and a route without
+    a stop line ahead only a drive hypothesis. Every rollout starts at the
+    current states."""
     beliefs: dict[str, dict[str, float]] = {}
     poses: dict[str, dict[str, LongState]] = {}
     on_route: dict[str, dict[str, tuple[float, float]]] = {}
@@ -206,25 +211,25 @@ def predict(others: list[VehicleState], graph: RouteGraph,
             start = poses[vid][rid]
             profile = route_profile(route)
             leader, drive_traj = drives[vid, rid]
-            prioritized = [(top[o], drives[o, top[o]][1]) for o in top
-                           if o != vid and graph.has_priority_over(top[o], rid)]
-            p_drive = drive_probability(route, drive_traj, prioritized, graph,
-                                        params)
+            s_stop = stop_target(route, start.s)
+            p_drive = 1.0  # no stop line ahead: the vehicle drives on
+            if s_stop is not None:
+                prioritized = [(top[o], drives[o, top[o]][1]) for o in top
+                               if o != vid
+                               and graph.has_priority_over(top[o], rid)]
+                p_drive = drive_probability(route, drive_traj, prioritized,
+                                            graph, params)
             hypotheses.append(Hypothesis(
                 route_id=rid, maneuver=DRIVE, trajectory=drive_traj,
                 probability=p_route * p_drive, leader=leader, profile=profile,
                 start=start))
-            s_stop = stop_target(route, start.s)
-            if s_stop is not None and p_drive < 1.0:
+            if p_drive < 1.0:
                 stop_traj = rollout(start, profile, leader=leader,
                                     stop_at=s_stop, params=idm_params)
                 hypotheses.append(Hypothesis(
                     route_id=rid, maneuver=STOP, trajectory=stop_traj,
                     probability=p_route * (1.0 - p_drive), leader=leader,
                     stop_at=s_stop, profile=profile, start=start))
-        total = sum(h.probability for h in hypotheses)
-        for h in hypotheses:
-            h.probability /= total
         result[vid] = hypotheses
     return result
 

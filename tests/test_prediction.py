@@ -399,3 +399,52 @@ def test_a_tie_for_the_lead_goes_to_the_smallest_id():
         drives.append(hyps["F"][0].trajectory)
     assert np.array_equal(drives[0].s, drives[1].s)
     assert np.array_equal(drives[0].v, drives[1].v)
+
+
+@pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
+def test_a_vehicles_hypotheses_on_a_route_sum_to_its_belief_there(graph):
+    for seed in range(30):
+        others = random_scene(graph, np.random.default_rng(seed))
+        hyps = predict(others, graph)
+        for veh in others:
+            for rid, belief in route_belief(
+                    candidate_routes(veh, graph)).items():
+                assert sum(h.probability for h in hyps[veh.id]
+                           if h.route_id == rid) == pytest.approx(
+                               belief, rel=1e-12, abs=0.0)
+
+
+def test_a_shared_lane_vehicle_past_both_stop_lines_keeps_its_belief():
+    # at north s = 282, past the junction, `side` runs in `north`'s lane:
+    # neither route has a stop line ahead, so each route's drive hypothesis
+    # carries that route's whole belief of 0.5
+    s = T_JUNCTION.zone_between("side", "north").start["north"] + 30.0
+    north = T_JUNCTION.routes["north"].centerline
+    veh = VehicleState("v", north.point_at(s), north.heading_at(s), 8.0)
+    hyps = predict([veh], T_JUNCTION)["v"]
+    assert [(h.route_id, h.maneuver) for h in hyps] == [
+        ("north", "drive"), ("side", "drive")]
+    assert [h.probability for h in hyps] == [0.5, 0.5]
+
+
+def test_a_barely_relevant_leader_leads_the_ego_as_it_leads_prediction():
+    # `a` has no stop line, `b` one far ahead; a vehicle offset toward `b`
+    # believes `a` just above delta_r. Its hypotheses on `a` sum to that
+    # belief, so the ego on `a` follows it as a predicted vehicle in the
+    # ego's place does
+    a = line_route("a", (0.0, 0.0), (300.0, 0.0))
+    b = line_route("b", (0.0, 0.5), (300.0, 0.5), intersection_start=250.0)
+    graph = RouteGraph([a, b])
+    y = 0.25 - math.log(0.11 / 0.89) / 50.0  # belief 0.11 in `a`
+    lead = VehicleState("lead", np.array([60.0, y]), 0.0, 2.0)
+    twin = VehicleState("twin", np.array([30.0, 0.0]), 0.0, 10.0)
+    belief = route_belief(candidate_routes(lead, graph))["a"]
+    assert PredictorParams().delta_r < belief == pytest.approx(0.11)
+    preds = predict([lead, twin], graph)
+    drive = next(h for h in preds["twin"] if h.route_id == "a")
+    assert drive.leader is next(h.trajectory for h in preds["lead"]
+                                if h.route_id == "a")
+    free = generate_options(drive.start, a, {"lead": preds["lead"]}, graph,
+                            include_merge=False)[0]
+    assert np.array_equal(free.reference.s, drive.trajectory.s)
+    assert np.array_equal(free.reference.v, drive.trajectory.v)
