@@ -58,17 +58,12 @@ class Polyline:
 
     def point_at(self, s: float, d: float = 0.0, extrapolate: bool = False):
         """Cartesian point at arc length s, offset d along the left normal."""
-        if not extrapolate and (s < -1e-9 or s > self.length + 1e-9):
-            raise SOutOfRange(f"s={s} outside [0, {self.length}]")
-        i = self.segment_index(min(max(s, 0.0), self.length))
-        if extrapolate and s > self.length:
-            i = len(self.seg_len) - 1
-        base = self.points[i] + self.seg_dir[i] * (s - self.arc[i])
-        return base + d * self.seg_normal[i]
+        return self.points_at([s], d, extrapolate)[0]
 
     def points_at(self, s, d=0.0, extrapolate: bool = False) -> np.ndarray:
-        """`point_at` for an array of arc lengths (and scalar or per-sample
-        offsets), as one (len(s), 2) array with the same values."""
+        """Cartesian points at an array of arc lengths, offset d (scalar or
+        per sample) along the left normal, as one (len(s), 2) array. Past
+        the ends, `extrapolate` continues the end segments."""
         s = np.asarray(s, dtype=float)
         if not extrapolate and (np.any(s < -1e-9)
                                 or np.any(s > self.length + 1e-9)):
