@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "planbench"))
@@ -70,17 +71,27 @@ def _digest(scenarios) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-def digest(workload: str, seed: int) -> tuple[int, str]:
-    """Digest of the workload's episodes at `seed`, in episode order."""
-    return _digest(scenario_from_dict(episode.raw)
-                   for episode in WORKLOADS[workload].episodes(seed))
+def lines(seed: int) -> list[tuple[str, Iterable]]:
+    """The lines that `main` prints, in order, as (label, scenarios): each
+    workload's episodes at `seed`, then each acceptance scene at every
+    acceptance seed. The scenarios are built as they are iterated."""
+    out = [(f"{name} seed={seed}",
+            (scenario_from_dict(episode.raw)
+             for episode in WORKLOADS[name].episodes(seed)))
+           for name in WORKLOADS]
+    for name, overrides in ACCEPTANCE_SCENES:
+        setting = ",".join(f"{k}={v}" for k, v in overrides.items())
+        out.append((f"{name} seeds=0-{ACCEPTANCE_SEEDS[-1]} "
+                    f"params={setting or 'default'}",
+                    _acceptance_runs(name, overrides)))
+    return out
 
 
-def acceptance_digest(name: str, overrides: dict) -> tuple[int, str]:
-    """Digest of a bundled scenario at every acceptance seed."""
+def _acceptance_runs(name: str, overrides: dict) -> Iterable:
+    """A bundled scenario at every acceptance seed."""
     path = repo.SCENARIOS / f"{name}.json"
-    return _digest(load_scenario(path, overrides=overrides, seed=seed)
-                   for seed in ACCEPTANCE_SEEDS)
+    return (load_scenario(path, overrides=overrides, seed=seed)
+            for seed in ACCEPTANCE_SEEDS)
 
 
 def main(argv=None) -> int:
@@ -90,14 +101,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
-    for name in WORKLOADS:
-        count, sha = digest(name, args.seed)
-        print(f"{name} seed={args.seed} records={count} sha256={sha}")
-    for name, overrides in ACCEPTANCE_SCENES:
-        count, sha = acceptance_digest(name, overrides)
-        setting = ",".join(f"{k}={v}" for k, v in overrides.items())
-        print(f"{name} seeds=0-{ACCEPTANCE_SEEDS[-1]} "
-              f"params={setting or 'default'} records={count} sha256={sha}")
+    for label, scenarios in lines(args.seed):
+        count, sha = _digest(scenarios)
+        print(f"{label} records={count} sha256={sha}")
     return 0
 
 
