@@ -21,7 +21,7 @@ from crossplan import (
     load_scenario,
     prediction,
 )
-from crossplan.idm import VEHICLE_LENGTH
+from crossplan.idm import VEHICLE_LENGTH, IdmParams
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 MERGE_SCENARIO = SCENARIO_DIR / "merge_rural.json"
@@ -110,17 +110,27 @@ def tiny_scenario_dict(duration=2.0, vehicles=(), seed=3):
     }
 
 
+def start_gap(scenario: Scenario) -> float:
+    """How far ahead of the ego `add_random_vehicles` starts a vehicle on
+    the ego's route: a vehicle length plus the IDM's desired gap of the ego
+    closing on the slowest vehicle it can place there."""
+    limit = scenario.graph.routes[scenario.ego_route_id].speed_limit
+    v = scenario.ego_v
+    return VEHICLE_LENGTH + IdmParams().desired_gap(v, v - 0.4 * limit)
+
+
 def add_random_vehicles(scenario: Scenario, count: int) -> Scenario:
-    """Seeded placement of extra double-integrator vehicles. On the ego's
-    route they start at least one vehicle length ahead of the ego."""
+    """Seeded placement of extra double-integrator vehicles at 0.4 to 0.9
+    of their route's speed limit. On the ego's route they start at least
+    `start_gap` ahead of the ego."""
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0xBE]))
     rids = sorted(scenario.graph.routes)
     vehicles = list(scenario.vehicles)
+    gap = start_gap(scenario)
     for i in range(count):
         rid = rids[int(rng.integers(len(rids)))]
         route = scenario.graph.routes[rid]
-        lo = (scenario.ego_s + VEHICLE_LENGTH
-              if rid == scenario.ego_route_id else 0.0)
+        lo = scenario.ego_s + gap if rid == scenario.ego_route_id else 0.0
         vehicles.append(VehicleSpec(
             id=f"bench{i}",
             route_id=rid,

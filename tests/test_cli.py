@@ -11,7 +11,7 @@ from crossplan.errors import PlanningError
 from crossplan.idm import VEHICLE_LENGTH
 
 from scenes import (MERGE_SCENARIO, T_JUNCTION_SCENARIO, add_random_vehicles,
-                    tiny_scenario_dict, write_scenario)
+                    start_gap, tiny_scenario_dict, write_scenario)
 
 
 @pytest.fixture()
@@ -271,9 +271,20 @@ def test_bench_added_vehicles_are_seeded_deterministically(scenario_path):
 def test_added_vehicles_start_ahead_of_the_ego_on_its_route(path, seed):
     sc = add_random_vehicles(load_scenario(path, seed=seed), 10)
     assert len(sc.vehicles) == len(load_scenario(path).vehicles) + 10
+    assert start_gap(sc) > VEHICLE_LENGTH
     for v in sc.vehicles:
         if v.route_id == sc.ego_route_id:
-            assert v.s >= sc.ego_s + VEHICLE_LENGTH, v
+            assert v.s >= sc.ego_s + start_gap(sc), v
+
+
+def test_an_added_vehicle_starts_beyond_the_egos_braking_distance():
+    # with 40 added vehicles `bench31` once started on `ramp` 5.02 m ahead
+    # of the ego's centre, 0.02 m bumper to bumper and 6.4 m/s slower
+    sc = add_random_vehicles(load_scenario(MERGE_SCENARIO, seed=0), 40)
+    bench31 = next(v for v in sc.vehicles if v.id == "bench31")
+    assert (bench31.route_id, sc.ego_route_id, sc.ego_s) == (
+        "ramp", "ramp", 20.0)
+    assert bench31.s >= sc.ego_s + start_gap(sc)
 
 
 def test_unknown_subcommand_is_rejected():
