@@ -203,8 +203,7 @@ def predict(others: list[VehicleState], graph: RouteGraph,
     result: dict[str, list[Hypothesis]] = {}
     for vid in beliefs:
         hypotheses = []
-        for rid in sorted(beliefs[vid]):
-            p_route = beliefs[vid][rid]
+        for rid, p_route in sorted(beliefs[vid].items()):
             if p_route <= 0.0:
                 continue
             route = graph.routes[rid]

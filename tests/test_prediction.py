@@ -89,7 +89,8 @@ def test_candidate_routes_by_corridor():
 @pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
 def test_hypothesis_probabilities_sum_to_one(graph):
     for seed in range(30):
-        hyps = predict(random_scene(graph, np.random.default_rng(seed)), graph)
+        others = random_scene(graph, np.random.default_rng(seed))
+        hyps = predict(others, graph)
         for vid, hs in hyps.items():
             assert hs, vid
             assert sum(h.probability for h in hs) == pytest.approx(1.0,
@@ -97,6 +98,13 @@ def test_hypothesis_probabilities_sum_to_one(graph):
             for h in hs:
                 assert 0.0 <= h.probability <= 1.0
                 assert h.maneuver in ("drive", "stop")
+        # and on each route to the vehicle's belief in that route
+        for veh in others:
+            for rid, belief in route_belief(
+                    candidate_routes(veh, graph)).items():
+                assert sum(h.probability for h in hyps[veh.id]
+                           if h.route_id == rid) == pytest.approx(
+                               belief, rel=1e-12, abs=0.0)
 
 
 def test_vehicle_outside_map_is_skipped():
@@ -399,19 +407,6 @@ def test_a_tie_for_the_lead_goes_to_the_smallest_id():
         drives.append(hyps["F"][0].trajectory)
     assert np.array_equal(drives[0].s, drives[1].s)
     assert np.array_equal(drives[0].v, drives[1].v)
-
-
-@pytest.mark.parametrize("graph", [MERGE, T_JUNCTION])
-def test_a_vehicles_hypotheses_on_a_route_sum_to_its_belief_there(graph):
-    for seed in range(30):
-        others = random_scene(graph, np.random.default_rng(seed))
-        hyps = predict(others, graph)
-        for veh in others:
-            for rid, belief in route_belief(
-                    candidate_routes(veh, graph)).items():
-                assert sum(h.probability for h in hyps[veh.id]
-                           if h.route_id == rid) == pytest.approx(
-                               belief, rel=1e-12, abs=0.0)
 
 
 def test_a_shared_lane_vehicle_past_both_stop_lines_keeps_its_belief():

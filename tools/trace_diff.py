@@ -35,8 +35,9 @@ def summarise(src: str, index: int) -> list[list[tuple]]:
     under `src`: per episode, per record (option costs, ego state,
     selected option). Run it in a process of its own."""
     sys.path.insert(0, src)
-    # this planner before trace_digest puts this checkout's on the path;
-    # its BLAS pin is then in place before numpy loads
+    # imported first, this planner stays the one in use after trace_digest
+    # puts this checkout's `src` first on the path; its BLAS pin is then in
+    # place before numpy loads
     import crossplan
     sys.path.insert(0, str(TOOLS))
     import trace_digest
