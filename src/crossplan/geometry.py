@@ -47,14 +47,16 @@ class Polyline:
         # left normal of each segment
         self.seg_normal = np.stack([-self.seg_dir[:, 1], self.seg_dir[:, 0]], axis=1)
         self._vertex_curv = _vertex_curvature(pts, seg, seg_len)
+        self._interior_arc = self.arc[1:-1]
 
     @property
     def length(self) -> float:
         return float(self.arc[-1])
 
-    def segment_index(self, s: float) -> int:
-        i = int(np.searchsorted(self.arc, s, side="right")) - 1
-        return min(max(i, 0), len(self.seg_len) - 1)
+    def _segment(self, s):
+        """Segment of arc length s (scalar or array): the count of interior
+        vertices at or before s, so the end segments continue past the ends."""
+        return np.searchsorted(self._interior_arc, s, side="right")
 
     def point_at(self, s: float, d: float = 0.0, extrapolate: bool = False):
         """Cartesian point at arc length s, offset d along the left normal."""
@@ -68,14 +70,12 @@ class Polyline:
         if not extrapolate and (np.any(s < -1e-9)
                                 or np.any(s > self.length + 1e-9)):
             raise SOutOfRange(f"s outside [0, {self.length}]")
-        i = np.searchsorted(self.arc, np.clip(s, 0.0, self.length),
-                            side="right") - 1
-        i = np.clip(i, 0, len(self.seg_len) - 1)
+        i = self._segment(s)
         base = self.points[i] + self.seg_dir[i] * (s - self.arc[i])[:, None]
         return base + np.asarray(d, dtype=float)[..., None] * self.seg_normal[i]
 
     def heading_at(self, s: float) -> float:
-        return float(self.seg_heading[self.segment_index(s)])
+        return float(self.seg_heading[self._segment(s)])
 
     def curvature_at(self, s):
         """Discrete curvature at arc length s (scalar or array), linearly
@@ -87,18 +87,22 @@ class Polyline:
 
         Ties between equidistant segments resolve to the lower arc length.
         """
-        p = np.asarray(position, dtype=float)
-        rel = p - self.points[:-1]
-        t = np.einsum("ij,ij->i", rel, self.seg_vec) / (self.seg_len**2)
-        t = np.clip(t, 0.0, 1.0)
-        foot = self.points[:-1] + t[:, None] * self.seg_vec
-        diff = p - foot
-        dist = np.hypot(diff[:, 0], diff[:, 1])
+        t, diff, dist = self._to_segments(np.asarray(position, dtype=float))
         i = int(np.argmin(dist))
         s = float(self.arc[i] + t[i] * self.seg_len[i])
         cross = self.seg_dir[i, 0] * diff[i, 1] - self.seg_dir[i, 1] * diff[i, 0]
         d = math.copysign(dist[i], cross) if dist[i] > 0.0 else 0.0
         return s, d, float(dist[i])
+
+    def _to_segments(self, p):
+        """Per point of p (..., 2) and per segment, on a new second-last axis:
+        the clipped foot parameter t, the offset p - foot and its length."""
+        p = p[..., None, :]
+        rel = p - self.points[:-1]
+        t = np.einsum("...ij,ij->...i", rel, self.seg_vec) / (self.seg_len**2)
+        t = np.clip(t, 0.0, 1.0)
+        diff = p - (self.points[:-1] + t[..., None] * self.seg_vec)
+        return t, diff, np.hypot(diff[..., 0], diff[..., 1])
 
     def sample(self, step: float):
         """(s, xy) samples at a uniform arc-length step, endpoint included."""
@@ -195,8 +199,8 @@ def compute_conflict_zone(route_a: Route,
     """
     sa, xa = route_a.centerline.sample(CONFLICT_SAMPLE_STEP)
     sb, xb = route_b.centerline.sample(CONFLICT_SAMPLE_STEP)
-    da = _min_dist_to_polyline(xa, route_b.centerline)
-    db = _min_dist_to_polyline(xb, route_a.centerline)
+    da = route_b.centerline._to_segments(xa)[2].min(axis=1)
+    db = route_a.centerline._to_segments(xb)[2].min(axis=1)
 
     merge_a = _merge_start(sa, da)
     merge_b = _merge_start(sb, db)
@@ -217,17 +221,6 @@ def compute_conflict_zone(route_a: Route,
     return None
 
 
-def _min_dist_to_polyline(points, poly: Polyline):
-    a = poly.points[:-1]
-    vec = poly.seg_vec
-    inv = 1.0 / (poly.seg_len**2)
-    rel = points[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pij,ij->pi", rel, vec) * inv[None, :], 0.0, 1.0)
-    foot = a[None, :, :] + t[:, :, None] * vec[None, :, :]
-    diff = points[:, None, :] - foot
-    return np.sqrt((diff**2).sum(axis=2)).min(axis=1)
-
-
 def _merge_start(s, dist):
     """Earliest sample after which all remaining samples stay close."""
     within = dist < LANE_HALF_WIDTH
@@ -237,8 +230,6 @@ def _merge_start(s, dist):
     bad = np.flatnonzero(~within)
     if len(bad) == 0:
         return float(s[0])
-    if bad[-1] == len(s) - 1:
-        return None
     return float(s[bad[-1] + 1])
 
 

@@ -64,6 +64,11 @@ class CartesianTrajectory:
         return _accelerations(self.positions, self.dt)
 
 
+def _velocities(x: np.ndarray, dt: float) -> np.ndarray:
+    """v_n = (x_{n+1} - x_{n-1}) / (2 dt) for n = 1..N-2."""
+    return (x[2:] - x[:-2]) / (2.0 * dt)
+
+
 def _accelerations(x: np.ndarray, dt: float) -> np.ndarray:
     """a_n = (x_{n+1} - 2 x_n + x_{n-1}) / dt^2 for n = 1..N-2."""
     return (x[2:] - 2.0 * x[1:-1] + x[:-2]) / dt**2
@@ -232,7 +237,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     # would stretch the braking distance and override safety, so such
     # references get the unconstrained smoothing only. Lateral (cornering)
     # demand is untouched by this guard and still goes through the SQP.
-    v_mid = (x_ref[2:] - x_ref[:-2]) / (2.0 * dt)
+    v_mid = _velocities(x_ref, dt)
     a_mid = _accelerations(x_ref, dt)
     speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
     tangential = (a_mid * v_mid).sum(axis=1) / speed

@@ -68,7 +68,7 @@ class _Agent:
 
     def state(self) -> VehicleState:
         pos = self.route.centerline.point_at(self.s, extrapolate=True)
-        heading = self.route.centerline.heading_at(min(self.s, self.route.length))
+        heading = self.route.centerline.heading_at(self.s)
         return VehicleState(id=self.spec.id, position=pos, heading=heading,
                             speed=self.v)
 
@@ -145,7 +145,7 @@ def _replan(plan, plan_idx, agents, graph, ego_route, params, last_kind):
     """One planning cycle; the executed plan, every prediction and every
     reference share the planning grid, starting at this cycle."""
     idm_params = params.idm
-    v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * DT)
+    v_vec = optimizer._velocities(plan[plan_idx - 1:plan_idx + 2], DT)[0]
     speed = float(np.hypot(*v_vec))
     # only the pose's s and d are read; neither depends on the heading
     pose = project_to_route(plan[plan_idx], 0.0, ego_route)
@@ -172,8 +172,9 @@ def _replan(plan, plan_idx, agents, graph, ego_route, params, last_kind):
 def _record(t, plan, plan_idx, ego_route, agents, last_kind, costs,
             plan_ms, converged, solver_status) -> TraceRecord:
     p = plan[plan_idx]
-    v_vec = (plan[plan_idx + 1] - plan[plan_idx - 1]) / (2.0 * DT)
-    a_vec = (plan[plan_idx + 1] - 2.0 * plan[plan_idx] + plan[plan_idx - 1]) / DT**2
+    around = plan[plan_idx - 1:plan_idx + 2]
+    v_vec = optimizer._velocities(around, DT)[0]
+    a_vec = optimizer._accelerations(around, DT)[0]
     speed = float(np.hypot(*v_vec))
     if speed > 1e-6:
         tangent = v_vec / speed

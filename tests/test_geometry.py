@@ -145,6 +145,56 @@ def test_sample_keeps_the_per_segment_formula():
     assert np.array_equal(xy, want)
 
 
+def _lookup_probes(line, rng):
+    L = line.length
+    arc = line.arc
+    return np.concatenate((
+        rng.uniform(-5.0, L + 5.0, 200), arc, np.nextafter(arc, -np.inf),
+        np.nextafter(arc, np.inf), [-3.0, -1e-10, -0.0, L + 1e-10, L + 3.0,
+                                    -np.inf, np.inf, np.nan]))
+
+
+@pytest.mark.parametrize("n_points", [2, 41])
+def test_segment_lookup_keeps_both_former_rules(n_points):
+    rng = np.random.default_rng(n_points)
+    line = (Polyline([[3.0, -1.0], [10.0, 4.0]]) if n_points == 2
+            else _gentle_polyline(rng, n_seg=n_points - 1))
+    s = _lookup_probes(line, rng)
+    last = len(line.seg_len) - 1
+    # the former vector rule of `points_at`: clip s, then the index
+    vector_rule = np.clip(np.searchsorted(
+        line.arc, np.clip(s, 0.0, line.length), side="right") - 1, 0, last)
+    assert np.array_equal(line._segment(s), vector_rule)
+    for si, want in zip(s, vector_rule):
+        # the former scalar `segment_index`
+        scalar_rule = min(max(int(np.searchsorted(
+            line.arc, si, side="right")) - 1, 0), last)
+        assert line._segment(float(si)) == scalar_rule == want
+        assert line.heading_at(float(si)) == line.seg_heading[want]
+
+
+def _conflict_distances(points, line):
+    """The distances that `compute_conflict_zone` holds against its
+    thresholds: from each point to the nearest segment of `line`."""
+    return line._to_segments(points)[2].min(axis=1)
+
+
+def test_conflict_distances_are_project_distances():
+    lines = [route.centerline
+             for graph in (merge_scenario().graph, t_junction_scenario().graph)
+             for route in graph.routes.values()]
+    rng = np.random.default_rng(11)
+    gentle = [_gentle_polyline(rng) for _ in range(6)]
+    pairs = ([(a, b) for a in lines for b in lines if a is not b]
+             + list(zip(gentle[::2], gentle[1::2]))
+             + list(zip(gentle[1::2], gentle[::2])))
+    for a, b in pairs + [(g, g) for g in gentle]:
+        _, xy = a.sample(0.5)
+        for points in (xy, xy + rng.normal(0.0, 1.0, xy.shape)):
+            want = np.array([b.project(p)[2] for p in points])
+            assert np.array_equal(_conflict_distances(points, b), want)
+
+
 def test_bundled_scenarios_conflict_zones():
     merge = merge_scenario().graph
     assert merge.conflict_zones == {
