@@ -145,21 +145,16 @@ def test_sample_keeps_the_per_segment_formula():
     assert np.array_equal(xy, want)
 
 
-def _lookup_probes(line, rng):
-    L = line.length
-    arc = line.arc
-    return np.concatenate((
-        rng.uniform(-5.0, L + 5.0, 200), arc, np.nextafter(arc, -np.inf),
-        np.nextafter(arc, np.inf), [-3.0, -1e-10, -0.0, L + 1e-10, L + 3.0,
-                                    -np.inf, np.inf, np.nan]))
-
-
 @pytest.mark.parametrize("n_points", [2, 41])
 def test_segment_lookup_keeps_both_former_rules(n_points):
     rng = np.random.default_rng(n_points)
     line = (Polyline([[3.0, -1.0], [10.0, 4.0]]) if n_points == 2
             else _gentle_polyline(rng, n_seg=n_points - 1))
-    s = _lookup_probes(line, rng)
+    L, arc = line.length, line.arc
+    s = np.concatenate((
+        rng.uniform(-5.0, L + 5.0, 200), arc, np.nextafter(arc, -np.inf),
+        np.nextafter(arc, np.inf), [-3.0, -1e-10, -0.0, L + 1e-10, L + 3.0,
+                                    -np.inf, np.inf, np.nan]))
     last = len(line.seg_len) - 1
     # the former vector rule of `points_at`: clip s, then the index
     vector_rule = np.clip(np.searchsorted(
@@ -171,12 +166,6 @@ def test_segment_lookup_keeps_both_former_rules(n_points):
             line.arc, si, side="right")) - 1, 0), last)
         assert line._segment(float(si)) == scalar_rule == want
         assert line.heading_at(float(si)) == line.seg_heading[want]
-
-
-def _conflict_distances(points, line):
-    """The distances that `compute_conflict_zone` holds against its
-    thresholds: from each point to the nearest segment of `line`."""
-    return line._to_segments(points)[2].min(axis=1)
 
 
 def test_conflict_distances_are_project_distances():
@@ -192,7 +181,10 @@ def test_conflict_distances_are_project_distances():
         _, xy = a.sample(0.5)
         for points in (xy, xy + rng.normal(0.0, 1.0, xy.shape)):
             want = np.array([b.project(p)[2] for p in points])
-            assert np.array_equal(_conflict_distances(points, b), want)
+            # the distances `compute_conflict_zone` holds against its
+            # thresholds
+            got = b._to_segments(points)[2].min(axis=1)
+            assert np.array_equal(got, want)
 
 
 def test_bundled_scenarios_conflict_zones():
