@@ -221,6 +221,9 @@ def select(scored: list[ScoredOption],
     """Minimum-total option; infinite totals fall back to stopping.
 
     Ties prefer the previously selected kind, then stop < follow < merge.
+    When every option is vetoed and there is no stop option, the fallback
+    is `scored[0]`, the follow option (nothing is pruned without a stop
+    reference), which carries a retained shadowed merge's label.
     """
     if not scored:
         raise NoOption("no scored options")
@@ -229,7 +232,7 @@ def select(scored: list[ScoredOption],
         for s in scored:
             if s.option.kind.name == STOP:
                 return s.option
-        return min(scored, key=lambda s: s.courtesy_cost).option
+        return scored[0].option
 
     def order(s: ScoredOption):
         return (s.total, 0 if s.option.kind == last_kind else 1,

@@ -25,7 +25,11 @@ MERGE = "merge_behind"
 
 @dataclass(frozen=True)
 class BehaviorKind:
-    """Option identity, which hysteresis retains: one merge per vehicle."""
+    """Option identity, which hysteresis retains: one merge per vehicle.
+
+    A merge whose reference the real leader shadows is not an option of
+    its own; when it is the retained kind, the follow option carries it.
+    """
 
     name: str
     target_vehicle: Optional[str] = None
@@ -120,11 +124,19 @@ def _approach_profile(ego_route: Route, ego_state: LongState, v_target: float,
 def generate_options(ego: LongState, ego_route: Route,
                      predictions: dict[str, list[Hypothesis]],
                      graph: RouteGraph,
+                     last_kind: Optional[BehaviorKind],
                      idm_params: IdmParams = IdmParams(),
                      pred_params: PredictorParams = PredictorParams(),
                      include_merge: bool = True) -> list[BehaviorOption]:
     """Enumerate ego behavior options, each with a reference on the
-    planning grid."""
+    planning grid; `options[0]` is the follow option.
+
+    Each distinct reference is one option. A merge whose rollout the real
+    leader shadows (`closer_leader` returns that leader, so the reference
+    would be the follow reference bit for bit) is not rolled out: when it
+    is `last_kind`, the follow option takes its kind and virtual leader so
+    that hysteresis keeps the merge; otherwise it is dropped.
+    """
     if ego_route is None:
         raise NoEgoRoute("ego has no route")
     profile = route_profile(ego_route)
@@ -154,11 +166,15 @@ def generate_options(ego: LongState, ego_route: Route,
                                           ego_route, ego, idm_params)
                 if vl is None:
                     continue
-                ref = rollout(ego, profile, params=idm_params,
-                              leader=closer_leader(leader, vl.trajectory))
-                merges.append(BehaviorOption(
-                    kind=BehaviorKind(MERGE, target_vehicle=vid),
-                    reference=ref, virtual_leader=vl))
+                kind = BehaviorKind(MERGE, target_vehicle=vid)
+                binding = closer_leader(leader, vl.trajectory)
+                if binding is leader:
+                    if kind == last_kind:
+                        options[0] = BehaviorOption(kind, free_ref, vl)
+                    continue
+                ref = rollout(ego, profile, leader=binding, params=idm_params)
+                merges.append(BehaviorOption(kind=kind, reference=ref,
+                                             virtual_leader=vl))
         merges.sort(key=lambda o: (o.virtual_leader.merge_index,
                                    o.kind.target_vehicle))
         options.extend(merges)

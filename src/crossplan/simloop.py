@@ -153,8 +153,8 @@ def _replan(plan, plan_idx, agents, graph, ego_route, params, last_kind):
                                      idm_params, params.predictor)
     ego_long = LongState(pose.s, speed)
     options = behavior.generate_options(
-        ego_long, ego_route, predictions, graph, idm_params, params.predictor,
-        include_merge=params.use_virtual_leader)
+        ego_long, ego_route, predictions, graph, last_kind, idm_params,
+        params.predictor, include_merge=params.use_virtual_leader)
     scored = arbiter.score_options(options, predictions, ego_route, graph,
                                    last_kind, idm_params, params.arbiter)
     selected = arbiter.select(scored, last_kind)

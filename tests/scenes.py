@@ -158,3 +158,17 @@ def count_rollouts(monkeypatch, counts: dict, on_call=None) -> None:
 
     for layer, module in ROLLOUT_LAYERS.items():
         monkeypatch.setattr(module, "rollout", counted(layer, module.rollout))
+
+
+def count_options(monkeypatch, counts: dict) -> None:
+    """Wrap `behavior.generate_options` with `monkeypatch.setattr` so that
+    every call adds its number of options to `counts["options"]`."""
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            options = fn(*args, **kwargs)
+            counts["options"] += len(options)
+            return options
+        return wrapper
+
+    monkeypatch.setattr(behavior, "generate_options",
+                        counted(behavior.generate_options))

@@ -227,7 +227,7 @@ def _merge_scene(ego_s=None, ego_v=14.0):
                            main.centerline.heading_at(s1), 17.0)]
     ego = LongState(ego_s, ego_v)
     preds = predict(others, MERGE_GRAPH)
-    options = generate_options(ego, RAMP, preds, MERGE_GRAPH)
+    options = generate_options(ego, RAMP, preds, MERGE_GRAPH, None)
     return options, preds
 
 
@@ -300,6 +300,21 @@ def test_select_falls_back_to_stop_when_everything_is_vetoed():
     free = ScoredOption(BehaviorOption(BehaviorKind(FREE), _constant(0, 10)),
                         -2.0, math.inf, math.inf)
     assert select([free, stop]).kind.name == STOP
+
+
+def test_select_falls_back_to_the_follow_option_without_a_stop_option():
+    # without a stop reference nothing is pruned, so scored[0] is the
+    # follow option, here carrying a retained shadowed merge's label; with
+    # w_c = 0 a vetoed total is nan instead of inf
+    retained = BehaviorKind(MERGE, "veh1")
+    for total in (math.inf, math.nan):
+        follow = ScoredOption(BehaviorOption(retained, _constant(0, 10)),
+                              -1.0, math.inf, total)
+        merge = ScoredOption(
+            BehaviorOption(BehaviorKind(MERGE, "veh2"), _constant(0, 12)),
+            -2.0, math.inf, total)
+        assert select([follow, merge]) is follow.option
+        assert select([follow, merge], last_kind=retained) is follow.option
 
 
 def test_select_requires_candidates():

@@ -8,13 +8,14 @@ from crossplan import (
     Hypothesis,
     LongState,
     LongTrajectory,
+    behavior,
     build_virtual_leader,
     generate_options,
     rollout,
 )
 from crossplan.behavior import FREE, MERGE, STOP
 from crossplan.errors import NoEgoRoute
-from crossplan.idm import route_profile
+from crossplan.idm import closer_leader, route_profile
 
 from scenes import merge_graph
 
@@ -89,7 +90,7 @@ def _predictions(prob, s_rl=None, v_rl=16.0):
 
 def test_option_kinds_depend_on_position_and_beliefs():
     ego = LongState(RAMP.intersection_start - 60.0, 14.0)
-    options = generate_options(ego, RAMP, _predictions(0.9), GRAPH)
+    options = generate_options(ego, RAMP, _predictions(0.9), GRAPH, None)
     names = [o.kind.name for o in options]
     assert FREE in names
     assert STOP in names
@@ -102,19 +103,21 @@ def test_option_kinds_depend_on_position_and_beliefs():
 
     # below the relevance threshold the merge option disappears
     names = [o.kind.name
-             for o in generate_options(ego, RAMP, _predictions(0.05), GRAPH)]
+             for o in generate_options(ego, RAMP, _predictions(0.05), GRAPH,
+                                       None)]
     assert MERGE not in names
 
     # past the intersection entry there is no stop option
     past = LongState(RAMP.intersection_start + 8.0, 14.0)
     names = [o.kind.name
-             for o in generate_options(past, RAMP, _predictions(0.9), GRAPH)]
+             for o in generate_options(past, RAMP, _predictions(0.9), GRAPH,
+                                       None)]
     assert STOP not in names
 
 
 def test_merge_options_disabled_on_request():
     ego = LongState(RAMP.intersection_start - 60.0, 14.0)
-    options = generate_options(ego, RAMP, _predictions(0.9), GRAPH,
+    options = generate_options(ego, RAMP, _predictions(0.9), GRAPH, None,
                                include_merge=False)
     assert all(o.kind.name != MERGE for o in options)
 
@@ -129,7 +132,7 @@ def test_merge_options_sorted_by_merge_time():
                            _main_rollout(ZONE.start["main"] - 110.0, 18.0),
                            1.0)],
     }
-    merges = [o for o in generate_options(ego, RAMP, preds, GRAPH)
+    merges = [o for o in generate_options(ego, RAMP, preds, GRAPH, None)
               if o.kind.name == MERGE]
     assert len(merges) == 2
     assert (merges[0].virtual_leader.merge_index
@@ -137,9 +140,61 @@ def test_merge_options_sorted_by_merge_time():
     assert merges[0].kind.target_vehicle == "near"
 
 
+def _shadowed_merge():
+    """A ramp scene whose real leader, slow and just ahead of the ego,
+    binds at every sample over veh1's virtual leader."""
+    ego = LongState(RAMP.intersection_start - 60.0, 14.0)
+    preds = _predictions(0.9, s_rl=ZONE.start["main"] - 30.0)
+    t = np.arange(201) * 0.05
+    lead = LongTrajectory(ego.s + 25.0 + 5.0 * t, np.full(201, 5.0), 0.05)
+    preds["lead"] = [Hypothesis("ramp", "drive", lead, 1.0)]
+    vl = build_virtual_leader(preds["veh1"][0].trajectory, "main", ZONE,
+                              RAMP, ego)
+    assert closer_leader(lead, vl.trajectory) is lead
+    return ego, preds, vl
+
+
+def _recorded_options(monkeypatch, ego, preds, last_kind):
+    """generate_options' result and the references it rolled out."""
+    made = []
+    real = behavior.rollout
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(behavior, "rollout", recording)
+    return generate_options(ego, RAMP, preds, GRAPH, last_kind), made
+
+
+def test_a_shadowed_merge_is_not_an_option(monkeypatch):
+    ego, preds, _ = _shadowed_merge()
+    options, made = _recorded_options(monkeypatch, ego, preds, None)
+    # follow and stop; the merge's reference would be the follow reference
+    assert [o.kind for o in options] == [BehaviorKind(FREE),
+                                         BehaviorKind(STOP)]
+    assert len(made) == 2
+    assert all(o.reference is ref for o, ref in zip(options, made))
+
+
+def test_a_retained_shadowed_merge_is_the_follow_option(monkeypatch):
+    ego, preds, vl = _shadowed_merge()
+    merge = BehaviorKind(MERGE, target_vehicle="veh1")
+    options, made = _recorded_options(monkeypatch, ego, preds, merge)
+    assert [o.kind for o in options] == [merge, BehaviorKind(STOP)]
+    follow = options[0]
+    assert len(made) == 2
+    assert follow.reference is made[0]  # the follow reference, not a copy
+    assert follow.virtual_leader.merge_index == vl.merge_index
+    assert np.array_equal(follow.virtual_leader.trajectory.s, vl.trajectory.s)
+    free = generate_options(ego, RAMP, preds, GRAPH, None)[0]
+    assert np.array_equal(follow.reference.s, free.reference.s)
+    assert np.array_equal(follow.reference.v, free.reference.v)
+
+
 def test_stop_reference_halts_before_intersection():
     ego = LongState(RAMP.intersection_start - 80.0, 14.0)
-    options = generate_options(ego, RAMP, {}, GRAPH)
+    options = generate_options(ego, RAMP, {}, GRAPH, None)
     stop = next(o for o in options if o.kind.name == STOP)
     # the approach is asymptotic; the horizon ends nearly at rest
     assert stop.reference.v[-1] < 1.0
@@ -149,7 +204,7 @@ def test_stop_reference_halts_before_intersection():
 
 def test_references_share_the_planning_grid():
     ego = LongState(RAMP.intersection_start - 60.0, 14.0)
-    options = generate_options(ego, RAMP, _predictions(0.9), GRAPH)
+    options = generate_options(ego, RAMP, _predictions(0.9), GRAPH, None)
     for o in options:
         assert len(o.reference) == 201
         assert o.reference.dt == pytest.approx(0.05)
@@ -159,7 +214,7 @@ def test_references_share_the_planning_grid():
 
 def test_missing_ego_route_raises():
     with pytest.raises(NoEgoRoute):
-        generate_options(LongState(0.0, 10.0), None, {}, GRAPH)
+        generate_options(LongState(0.0, 10.0), None, {}, GRAPH, None)
 
 
 def test_kind_identity_and_formatting():

@@ -367,7 +367,8 @@ def test_the_free_reference_is_the_drive_of_a_vehicle_in_the_egos_place(
                 if h.maneuver != "drive":
                     continue
                 free = generate_options(h.start, graph.routes[h.route_id],
-                                        rest, graph, include_merge=False)[0]
+                                        rest, graph, None,
+                                        include_merge=False)[0]
                 assert free.kind.name == "follow_or_free"
                 assert np.array_equal(free.reference.s, h.trajectory.s)
                 assert np.array_equal(free.reference.v, h.trajectory.v)
@@ -440,6 +441,6 @@ def test_a_barely_relevant_leader_leads_the_ego_as_it_leads_prediction():
     assert drive.leader is next(h.trajectory for h in preds["lead"]
                                 if h.route_id == "a")
     free = generate_options(drive.start, a, {"lead": preds["lead"]}, graph,
-                            include_merge=False)[0]
+                            None, include_merge=False)[0]
     assert np.array_equal(free.reference.s, drive.trajectory.s)
     assert np.array_equal(free.reference.v, drive.trajectory.v)

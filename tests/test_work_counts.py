@@ -2,16 +2,30 @@
 and the arbiter each call `rollout` through their own module binding; how
 often they do is a pure function of the scenario, so a skip that stops
 working (a vetoed option scored on, a shadowed reaction re-simulated, a
-vehicle's drive rolled out twice) fails here without any timing."""
+vehicle's drive rolled out twice, a shadowed merge rolled out) fails here
+without any timing."""
 
 import math
 
+import pytest
+
 from crossplan import SimConfig, arbiter, load_scenario, run
 
-from scenes import ROLLOUT_LAYERS, T_JUNCTION_SCENARIO, count_rollouts
+from scenes import (ROLLOUT_LAYERS, SCENARIO_DIR, T_JUNCTION_SCENARIO,
+                    add_random_vehicles, count_options, count_rollouts)
 
 # rollouts per binding over the 8 s episode below
 EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 99, "arbiter": 31}
+
+# rollouts per binding and options generated over 4 s of each bundled scene
+# with 40 added vehicles, traffic in which the real leader shadows most
+# merges
+EXPECTED_DENSE = {
+    "merge_rural": {"prediction": 1010, "behavior": 40, "arbiter": 0,
+                    "options": 40},
+    "t_junction": {"prediction": 1155, "behavior": 66, "arbiter": 1,
+                   "options": 66},
+}
 
 
 def test_rollouts_per_binding_and_none_after_a_veto(monkeypatch):
@@ -44,3 +58,13 @@ def test_rollouts_per_binding_and_none_after_a_veto(monkeypatch):
     assert vetoed  # the episode does veto options
     assert late == {"courtesy": 0, "rollout": 0}
     assert counts == EXPECTED_ROLLOUTS
+
+
+@pytest.mark.parametrize("scene", sorted(EXPECTED_DENSE))
+def test_dense_rollouts_per_binding_and_options(monkeypatch, scene):
+    sc = add_random_vehicles(load_scenario(SCENARIO_DIR / f"{scene}.json"), 40)
+    counts = dict.fromkeys([*ROLLOUT_LAYERS, "options"], 0)
+    count_rollouts(monkeypatch, counts)
+    count_options(monkeypatch, counts)
+    run(sc, SimConfig(duration=4.0))
+    assert counts == EXPECTED_DENSE[scene]

@@ -5,7 +5,8 @@ suite's `scenes.add_random_vehicles` (N in ADDED) for SECONDS simulated
 seconds with default parameters, and prints one row per run:
 
 - the rollouts per planning cycle made through the `rollout` binding of
-  prediction, behavior and the arbiter, counted by `scenes.count_rollouts`.
+  prediction, behavior and the arbiter, counted by `scenes.count_rollouts`,
+  and the behavior options per cycle, counted by `scenes.count_options`.
   They are a pure function of the scenario, so two checkouts can be
   compared on any machine;
 - the mean, p99 and max raw `plan_ms`. They depend on the machine and its
@@ -38,7 +39,7 @@ import checks  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from scenes import (ROLLOUT_LAYERS, SCENARIO_DIR,  # noqa: E402
-                    add_random_vehicles, count_rollouts)
+                    add_random_vehicles, count_options, count_rollouts)
 
 SCENES = ("merge_rural", "t_junction")
 ADDED = (0, 10, 20, 40)  # vehicles added to each scene
@@ -50,9 +51,10 @@ def measure(scene: str, added: int) -> dict:
     and collision figures."""
     sc = add_random_vehicles(load_scenario(SCENARIO_DIR / f"{scene}.json"),
                              added)
-    counts = dict.fromkeys(ROLLOUT_LAYERS, 0)
+    counts = dict.fromkeys([*ROLLOUT_LAYERS, "options"], 0)
     with pytest.MonkeyPatch.context() as mp:
         count_rollouts(mp, counts)
+        count_options(mp, counts)
         trace = simloop.run(sc, SimConfig(duration=SECONDS))
     # every planning cycle takes some time; the records between them none
     plan_ms = np.array([rec.plan_ms for rec in trace if rec.plan_ms > 0.0])
@@ -68,8 +70,8 @@ def measure(scene: str, added: int) -> dict:
 
 def main() -> int:
     print("scene        vehicles cycles | rollouts/cycle: prediction behavior"
-          " arbiter | plan_ms (informative): mean p99 max | progress_m"
-          " collisions")
+          " arbiter | options/cycle | plan_ms (informative): mean p99 max |"
+          " progress_m collisions")
     for scene in SCENES:
         for added in ADDED:
             row = measure(scene, added)
@@ -77,7 +79,8 @@ def main() -> int:
                              sorted(row["collisions"].items())) or "0"
             print(f"{row['scene']:<12} {row['vehicles']:>8} {row['cycles']:>6}"
                   f" | {row['prediction']:10.2f} {row['behavior']:8.2f}"
-                  f" {row['arbiter']:7.2f} | {row['mean_ms']:6.1f}"
+                  f" {row['arbiter']:7.2f} | {row['options']:13.2f}"
+                  f" | {row['mean_ms']:6.1f}"
                   f" {row['p99_ms']:6.1f} {row['max_ms']:6.1f}"
                   f" | {row['progress_m']:10.1f} {kinds}")
     return 0

@@ -6,7 +6,9 @@ planned in a fresh process per checkout: once by this checkout's
 `crossplan` and once by the one under `PARENT_DIR/src`, on the scenarios
 that this checkout's `trace_digest.lines` lists. Per line it prints
 
-- the records whose option costs differ,
+- the option-cost entries (a record's cost per option label) that only
+  the other checkout has (removed), that only this one has (added), and
+  that both have with different values (moved),
 - the records whose ego state (arc length, position, speed and
   accelerations) differs,
 - the episodes whose sequence of selected options changes, and
@@ -51,18 +53,23 @@ def summarise(src: str, index: int) -> list[list[tuple]]:
 
 def compare(ours: list[list[tuple]], theirs: list[list[tuple]]) -> str:
     """The differences between two `summarise` results, as one line."""
-    costs = states = changed = records = 0
+    removed = added = moved = states = changed = records = 0
     shift = 0.0
     for a, b in zip(ours, theirs, strict=True):
-        for ra, rb in zip_longest(a, b, fillvalue=(None, None, None)):
+        for (costs_a, state_a, _), (costs_b, state_b, _) in zip_longest(
+                a, b, fillvalue=({}, None, None)):
             records += 1
-            costs += ra[0] != rb[0]
-            states += ra[1] != rb[1]
+            removed += len(costs_b.keys() - costs_a.keys())
+            added += len(costs_a.keys() - costs_b.keys())
+            moved += sum(costs_a[k] != costs_b[k]
+                         for k in costs_a.keys() & costs_b.keys())
+            states += state_a != state_b
         changed += [r[2] for r in a] != [r[2] for r in b]
         shift = max(shift, abs(a[-1][1][0] - b[-1][1][0]))
-    return (f"option costs differ in {costs} of {records} records, ego state"
-            f" in {states}; selections change in {changed} of {len(ours)}"
-            f" episodes; largest final ego_s shift {shift:.3g} m")
+    return (f"option-cost entries removed {removed}, added {added}, moved"
+            f" {moved}; ego state differs in {states} of {records} records;"
+            f" selections change in {changed} of {len(ours)} episodes;"
+            f" largest final ego_s shift {shift:.3g} m")
 
 
 def main(argv=None) -> int:
