@@ -11,6 +11,10 @@ that factor. When the acceleration constraint activates, the (convex)
 problem goes to SQP (SLSQP) in whitened coordinates: the free positions are
 the unconstrained optimum plus s L^-T z, with s a scalar, so the objective
 is z.z and the quasi-Newton model starts from the exact Hessian.
+
+Everything but SLSQP is numpy. scipy is imported at the first solve that
+calls SLSQP, through the module handle `optimize`, so a process whose
+solves all end in closed form or the braking bypass never loads it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import solve_triangular
 
 from .errors import TooShort
 from .geometry import Route
@@ -29,6 +31,20 @@ from .idm import LongTrajectory
 N_OPT = 60
 N_FIXED = 4  # leading positions pinned by the finite-difference stencils
 SQP_MAX_ITER = 100
+
+
+class _LazyOptimize:
+    """Stands for `scipy.optimize`, which it imports at the first
+    `minimize` call. Every SLSQP run goes through the module's `optimize`
+    handle, so a stand-in bound there sees all of them."""
+
+    @staticmethod
+    def minimize(*args, **kwargs):
+        from scipy.optimize import minimize
+        return minimize(*args, **kwargs)
+
+
+optimize = _LazyOptimize()
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,7 @@ def _whitening(n: int, dt: float, w_spatial: float, w_acc: float,
     Qff = (w_spatial * np.eye(n - N_FIXED) + w_acc * D_acc.T @ D_acc
            + w_jerk * D_jerk.T @ D_jerk + w_snap * D_snap.T @ D_snap)
     L = np.linalg.cholesky(Qff)
-    Linv_T = solve_triangular(L, np.eye(n - N_FIXED), lower=True).T
+    Linv_T = np.linalg.inv(L).T
     return Linv_T, D_acc @ Linv_T
 
 
@@ -176,9 +192,11 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     The unconstrained quadratic optimum x* is computed first, by three
     Newton steps from the reference (with the prefix) on the cached factor
     Q_ff = L L^T; SQP (SLSQP) runs only when x* violates the acceleration
-    constraint. SLSQP works on whitened variables z, with free positions
-    x* + s L^-T z: the objective is z.z (the cost above J(x*), over s^2),
-    the accelerations are affine in z, and the start z = 0 is x* itself.
+    constraint, and only such a solve imports scipy (the first one in a
+    process pays that import). SLSQP works on whitened variables z, with
+    free positions x* + s L^-T z: the objective is z.z (the cost above
+    J(x*), over s^2), the accelerations are affine in z, and the start
+    z = 0 is x* itself.
     Either result is returned only when its cost, recomputed by
     `assemble_cost`, is no more than the reference's.
 

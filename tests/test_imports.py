@@ -1,6 +1,7 @@
 """Import hygiene of the planner package: every name a planner module
-imports is read somewhere in that module, and importing the package pins
-the BLAS pools before numpy loads."""
+imports is read somewhere in that module, importing the package pins the
+BLAS pools before numpy loads, and scipy loads only at the first solve
+that runs SLSQP."""
 
 import ast
 import json
@@ -28,6 +29,31 @@ sys.meta_path.insert(0, Spy())
 import crossplan
 print(json.dumps(seen))
 """ % (BLAS_VARS,)
+
+# a short bundled merge_rural episode, then tests/test_optimizer.py's
+# right-angle corner at 11 m/s under a_max = 2; prints the scipy modules
+# loaded after each, and the corner solve's status
+SCIPY_SPY = """
+import json, sys
+import numpy as np
+from crossplan import (CartesianTrajectory, OptimizerWeights, SimConfig,
+                       load_scenario, run, solve)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+trace = run(load_scenario(%r), SimConfig(duration=2.0))
+statuses = sorted({rec.solver_status for rec in trace})
+after_episode = scipy_modules()
+step = np.where(np.arange(1, 60)[:, None] <= 30, [0.55, 0.0], [0.0, 0.55])
+ref = np.vstack([[0.0, 0.0], np.cumsum(step, axis=0)])
+result = solve(CartesianTrajectory(ref, 0.05), ref[:4].copy(),
+               OptimizerWeights(a_max=2.0))
+print(json.dumps({"statuses": statuses, "after_episode": after_episode,
+                  "status": result.status,
+                  "after_corner": scipy_modules()}))
+""" % (str(PACKAGE.parent.parent / "scenarios" / "merge_rural.json"),)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,17 +93,24 @@ def test_planner_modules_read_every_name_they_import():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def run_fresh(script: str, env: dict) -> dict:
+    """The JSON that `script` prints, run in a fresh process with `env`
+    and this checkout's package first on the path."""
+    env = dict(env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def blas_env_at_numpy_load(preset: dict) -> dict:
     """The BLAS variables numpy sees in a fresh process that imports
     crossplan, started with none of them set but `preset`."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(preset)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", BLAS_SPY], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return run_fresh(BLAS_SPY, env)
 
 
 def test_import_pins_blas_to_one_thread_before_numpy_loads():
@@ -88,3 +121,11 @@ def test_import_keeps_a_blas_thread_count_already_set():
     seen = blas_env_at_numpy_load({"OPENBLAS_NUM_THREADS": "2"})
     assert seen == {v: "2" if v == "OPENBLAS_NUM_THREADS" else "1"
                     for v in BLAS_VARS}
+
+
+def test_scipy_loads_only_at_the_first_slsqp_solve():
+    seen = run_fresh(SCIPY_SPY, os.environ)
+    assert "closed_form" in seen["statuses"]
+    assert seen["after_episode"] == []
+    assert seen["status"] == "converged"
+    assert "scipy.optimize" in seen["after_corner"]

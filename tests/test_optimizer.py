@@ -1,5 +1,7 @@
 """Trajectory smoothing: cost gradient, constrained solve, reference mapping."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -269,15 +271,20 @@ def test_solver_smooths_a_velocity_kink():
     assert _max_jerk(result.trajectory.positions, dt) < _max_jerk(ref, dt)
 
 
+def _braking_reference(n=N, dt=DT):
+    """Straight line braking at 8 m/s^2 from 15 m/s to a stop."""
+    v = np.maximum(15.0 - 8.0 * np.arange(n) * dt, 0.0)
+    x = np.concatenate([[0.0], np.cumsum(v[:-1] * dt)])
+    return np.stack([x, np.zeros(n)], axis=1)
+
+
 def test_emergency_braking_keeps_the_unconstrained_smoothing():
     # hard longitudinal braking (beyond a_max) is a safety demand: the
     # solver must not stretch it to feasibility, and must stay fast
     import time
 
-    n, dt = N, DT
-    v = np.maximum(15.0 - 8.0 * np.arange(n) * dt, 0.0)
-    x = np.concatenate([[0.0], np.cumsum(v[:-1] * dt)])
-    ref = np.stack([x, np.zeros(n)], axis=1)
+    dt = DT
+    ref = _braking_reference()
     weights = OptimizerWeights()
     start = time.perf_counter()
     result = solve(CartesianTrajectory(ref, dt), ref[:N_FIXED].copy(), weights)
@@ -292,6 +299,37 @@ def test_emergency_braking_keeps_the_unconstrained_smoothing():
     # braking is preserved, not relaxed to the comfort limit
     x = result.trajectory.positions
     assert float(np.hypot(*(x[-1] - x[-2]))) / dt < 3.0
+
+
+def test_slsqp_is_reached_only_through_the_optimize_handle(monkeypatch):
+    # planbench's recorder and tracer see SLSQP by replacing the module's
+    # `optimize` handle, as this stand-in does: one `minimize` call per SQP
+    # solve, none for a solve that ends in closed form or the braking bypass
+    handle = optimizer.optimize
+    calls = []
+
+    def minimize(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return handle.minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "optimize",
+                        types.SimpleNamespace(minimize=minimize))
+    weights = OptimizerWeights(a_max=2.0)
+    for speed in (8.0, 11.0):
+        ref = _corner_reference(speed)
+        result = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
+                       weights)
+        assert result.status == "converged"
+    assert calls == ["SLSQP", "SLSQP"]
+    t = np.arange(N)[:, None] * DT
+    line = 11.0 * t * np.array([0.6, -0.8])
+    closed = solve(CartesianTrajectory(line, DT), line[:N_FIXED].copy(),
+                   weights)
+    ref = _braking_reference()
+    braking = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy())
+    assert (closed.status, braking.status) == ("closed_form",
+                                               "braking_bypass")
+    assert calls == ["SLSQP", "SLSQP"]
 
 
 def test_short_problems_are_rejected():
