@@ -8,17 +8,18 @@ origin. The cost is quadratic, with Hessian 2 Q_ff over the free positions;
 Q_ff = L L^T is factored once per (n, dt, weights) and cached. The
 unconstrained minimizer is reached by Newton steps from the reference on
 that factor. When the acceleration constraint activates, the (convex)
-problem goes to SQP (SLSQP) in whitened coordinates: the free positions are
-the unconstrained optimum plus s L^-T z, with s a scalar, so the objective
-is z.z and the quasi-Newton model starts from the exact Hessian.
-
-Everything but SLSQP is numpy. scipy is imported at the first solve that
-calls SLSQP, through the module handle `optimize`, so a process whose
-solves all end in closed form or the braking bypass never loads it.
+problem is solved in whitened coordinates: the free positions are the
+unconstrained optimum plus L^-T Z, so the objective is ||Z||^2 and each
+constraint is a disk ||a*_k + m_k^T Z|| <= a_max, with m_k row k of
+M = D_acc_f L^-T: a small second-order cone program (Lobo et al., LAA
+1998). `_solve_disks` solves it exactly by a dual active-set method (in the
+spirit of Goldfarb & Idnani, Math. Prog. 27, 1983) over the cached
+G = M M^T. Everything is numpy.
 """
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,21 +31,71 @@ from .idm import LongTrajectory
 
 N_OPT = 60
 N_FIXED = 4  # leading positions pinned by the finite-difference stencils
-SQP_MAX_ITER = 100
+MAX_ITER = 30  # active-set iterations, and Newton steps within each
 
 
-class _LazyOptimize:
-    """Stands for `scipy.optimize`, which it imports at the first
-    `minimize` call. Every SLSQP run goes through the module's `optimize`
-    handle, so a stand-in bound there sees all of them."""
+def _solve_disks(C: np.ndarray, M: np.ndarray, G: np.ndarray, a_max: float,
+                 max_iter: int) -> types.SimpleNamespace:
+    """min ||Z||^2 subject to ||C_k + m_k^T Z|| <= a_max for every row k,
+    with m_k row k of M and G = M M^T.
 
-    @staticmethod
-    def minimize(*args, **kwargs):
-        from scipy.optimize import minimize
-        return minimize(*args, **kwargs)
+    With multipliers lam on a working set A, stationarity gives
+    Z = -M_A^T diag(lam) a_A, so the accelerations on A are
+    a_A = (I + G_AA diag(lam))^-1 C_A. Each iteration adds the peak of
+    every contiguous run of violated rows, starting its multiplier at the
+    one-row closed form (||a_k|| / a_max - 1) / G_kk, then runs Newton on
+    phi = ||a_A||^2 - a_max^2 over lam (Jacobian
+    -2 ((I + G_AA diag(lam))^-1 G_AA) o (a_A a_A^T), negative definite),
+    dropping every multiplier that reaches <= 0. It stops when no row
+    exceeds a_max^2 by more than 1e-9: with lam > 0 and phi = 0 on A, that
+    meets the KKT conditions of this convex problem, so Z is the optimum.
+    Returns Z as `x`, the iterations (feasibility checks) as `nit`,
+    `success` and `message`."""
+    a2 = a_max * a_max
+    active = np.zeros(0, dtype=int)
+    lam = np.zeros(0)
+    Z = np.zeros((M.shape[1], 2))
+    a = C
+    for it in range(1, max_iter + 1):
+        excess = (a * a).sum(axis=1) - a2
+        if excess.max() <= 1e-9:
+            return types.SimpleNamespace(
+                x=Z, nit=it, success=True,
+                message=f"converged: {len(active)} active constraints "
+                        f"after {it} iterations")
+        if it == max_iter:
+            break
+        bad = np.concatenate(([False], excess > 1e-9, [False]))
+        bad[1:-1][active] = False
+        edges = np.flatnonzero(bad[1:] != bad[:-1])
+        new = np.array([lo + int(np.argmax(excess[lo:hi]))
+                        for lo, hi in zip(edges[::2], edges[1::2])], dtype=int)
+        active = np.concatenate((active, new))
+        lam = np.concatenate(
+            (lam, (np.sqrt(excess[new] + a2) / a_max - 1.0) / G[new, new]))
+        for step in range(max_iter + 1):
+            G_A = G[active][:, active]
+            # a_A and (I + G_AA diag(lam))^-1 G_AA from one factorization
+            sol = np.linalg.solve(np.eye(len(active)) + G_A * lam,
+                                  np.hstack((C[active], G_A)))
+            a_A = sol[:, :2]
+            phi = (a_A * a_A).sum(axis=1) - a2
+            if step == max_iter or np.all(np.abs(phi) <= 1e-10):
+                break
+            lam = lam + np.linalg.solve(2.0 * sol[:, 2:] * (a_A @ a_A.T), phi)
+            keep = lam > 0.0
+            active, lam = active[keep], lam[keep]
+        Z = -M[active].T @ (lam[:, None] * a_A)
+        a = C + M @ Z
+    return types.SimpleNamespace(
+        x=Z, nit=max_iter, success=False,
+        message=f"iteration limit {max_iter}: {len(active)} active "
+                f"constraints, largest excess {excess.max():.3g} m^2/s^4")
 
 
-optimize = _LazyOptimize()
+# The one way `solve` reaches the constrained solver: a stand-in bound here
+# sees every constrained solve.
+optimize = types.SimpleNamespace(minimize=_solve_disks)
 
 
 @dataclass(frozen=True)
@@ -99,11 +150,11 @@ class NlpResult:
     max_violation: float  # of ||a||^2 - a_max^2, m^2/s^4
     # how the solve ended: "closed_form" (the unconstrained optimum is
     # feasible), "converged", "braking_bypass" (emergency braking, smoothed
-    # only), "not_converged" (SLSQP stopped short; see `message`) or
-    # "reference_fallback" (the closed form's or SLSQP's result cost more
-    # than the reference)
+    # only), "not_converged" (the active-set solver stopped at its
+    # iteration limit; see `message`) or "reference_fallback" (the closed
+    # form's or the active-set result cost more than the reference)
     status: str
-    message: str = ""  # SLSQP's exit code and message, or why it fell back
+    message: str = ""  # the active-set solver's exit, or why it fell back
 
 
 def reference_to_cartesian(reference: LongTrajectory, route: Route,
@@ -136,15 +187,16 @@ def _stencils(n: int, dt: float):
 @lru_cache(maxsize=16)
 def _whitening(n: int, dt: float, w_spatial: float, w_acc: float,
                w_jerk: float, w_snap: float):
-    """(L^-T, M) with Q_ff = L L^T, half the cost's Hessian over the free
-    positions, and M = D_acc_f L^-T, the map from whitened free variables
-    to the accelerations at the constrained centres."""
+    """(L^-T, M, G) with Q_ff = L L^T, half the cost's Hessian over the
+    free positions, M = D_acc_f L^-T, the map from whitened free variables
+    to the accelerations at the constrained centres, and G = M M^T."""
     D_acc, D_jerk, D_snap = (D[:, N_FIXED:] for D in _stencils(n, dt))
     Qff = (w_spatial * np.eye(n - N_FIXED) + w_acc * D_acc.T @ D_acc
            + w_jerk * D_jerk.T @ D_jerk + w_snap * D_snap.T @ D_snap)
     L = np.linalg.cholesky(Qff)
     Linv_T = np.linalg.inv(L).T
-    return Linv_T, D_acc @ Linv_T
+    M = D_acc @ Linv_T
+    return Linv_T, M, M @ M.T
 
 
 def _residuals(x: np.ndarray, dt: float):
@@ -191,18 +243,18 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
 
     The unconstrained quadratic optimum x* is computed first, by three
     Newton steps from the reference (with the prefix) on the cached factor
-    Q_ff = L L^T; SQP (SLSQP) runs only when x* violates the acceleration
-    constraint, and only such a solve imports scipy (the first one in a
-    process pays that import). SLSQP works on whitened variables z, with
-    free positions x* + s L^-T z: the objective is z.z (the cost above
-    J(x*), over s^2), the accelerations are affine in z, and the start
-    z = 0 is x* itself.
+    Q_ff = L L^T. Only when x* violates the acceleration constraint does
+    the active-set solver `_solve_disks` run, through the module handle
+    `optimize`, on whitened variables Z with free positions x* + L^-T Z:
+    the objective is ||Z||^2 (the cost above J(x*)), the accelerations are
+    affine in Z, and Z = 0 is x* itself.
     Either result is returned only when its cost, recomputed by
     `assemble_cost`, is no more than the reference's.
 
     `status` on the result says how the solve ended; `converged` is true
-    for "closed_form" and for "converged" (SLSQP succeeded and the result
-    is feasible to 1e-6 m^2/s^4).
+    for "closed_form" and for "converged" (the active-set solver met every
+    constraint to 1e-9 within `MAX_ITER` iterations and the result is
+    feasible to 1e-6 m^2/s^4).
     """
     ref = np.array(reference.positions, dtype=float)
     prefix = np.asarray(prefix, dtype=float)
@@ -210,8 +262,8 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
         raise ValueError("prefix must be 4 positions")
     n = len(ref)
     dt = reference.dt
-    Linv_T, M = _whitening(n, dt, weights.w_spatial, weights.w_acc,
-                           weights.w_jerk, weights.w_snap)
+    Linv_T, M, G = _whitening(n, dt, weights.w_spatial, weights.w_acc,
+                              weights.w_jerk, weights.w_snap)
 
     # Newton steps from the reference: with g the cost's gradient, the step
     # -Q_ff^-1 g / 2 is -L^-T z with z = L^-1 g / 2, and lowers the cost by
@@ -254,7 +306,7 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     # the gap, deliberately above the comfort limit. Forcing ||a|| <= a_max
     # would stretch the braking distance and override safety, so such
     # references get the unconstrained smoothing only. Lateral (cornering)
-    # demand is untouched by this guard and still goes through the SQP.
+    # demand is untouched by this guard and still goes to the solver.
     v_mid = _velocities(x_ref, dt)
     a_mid = _accelerations(x_ref, dt)
     speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
@@ -265,46 +317,21 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
                          max_violation=max(viol, 0.0),
                          status="braking_bypass")
 
-    # The free positions are x* + s L^-T z, so the cost is J(x*) + s^2 z.z.
-    # s^2 is the reference's excess cost over x* (at least 1), the most the
-    # guard below accepts: z.z <= 1 on every result it keeps, and SLSQP's
-    # absolute ftol acts relative to that budget. With s = 1, corner
-    # problems whose excess runs into the thousands end in exit mode 8
-    # (line search) instead of converging.
-    scale = np.sqrt(max(cost_ref - cost, 1.0))
-    M = scale * M
-    a_opt = _accelerations(x, dt)[N_FIXED - 1:]
-
-    # z holds the free points' (z_x, z_y) pairs in storage order
-    def accel(z):
-        return a_opt + M @ z.reshape(-1, 2)
-
-    def cons_f(z):
-        return a2max - (accel(z)**2).sum(axis=1)
-
-    def cons_jac(z):
-        a = accel(z)
-        return -2.0 * (M[:, :, None] * a[:, None, :]).reshape(len(a), -1)
-
-    res = optimize.minimize(
-        lambda z: (z @ z, 2.0 * z), np.zeros(2 * (n - N_FIXED)), jac=True,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        options={"maxiter": SQP_MAX_ITER, "ftol": 1e-9})
+    res = optimize.minimize(_accelerations(x, dt)[N_FIXED - 1:], M, G,
+                            weights.a_max, MAX_ITER)
     x_out = x.copy()
-    x_out[N_FIXED:] += scale * (Linv_T @ res.x.reshape(-1, 2))
+    x_out[N_FIXED:] += Linv_T @ res.x
     cost_out, _ = assemble_cost(x_out, ref, weights, dt)
-    message = f"SLSQP exit {res.status}: {res.message}"
 
     if (not np.all(np.isfinite(x_out))) or cost_out > cost_ref + 1e-9:
-        return fallback(int(res.nit), message)
+        return fallback(int(res.nit), res.message)
     viol_out = _max_violation(x_out, dt, a2max)
     converged = bool(res.success) and viol_out <= 1e-6
     return NlpResult(CartesianTrajectory(x_out, dt=dt),
                      converged=converged, iterations=int(res.nit),
                      cost=cost_out, max_violation=max(viol_out, 0.0),
                      status="converged" if converged else "not_converged",
-                     message=message)
+                     message=res.message)
 
 
 def _max_violation(x: np.ndarray, dt: float, a2max: float) -> float:

@@ -162,7 +162,7 @@ def test_run_writes_trace_and_summary(scenario_path, tmp_path, capsys):
 def test_run_reports_the_solver_status_of_each_cycle(scenario_path, tmp_path,
                                                    capsys):
     out = tmp_path / "trace.csv"
-    # a tight acceleration limit sends some cycles through SLSQP
+    # a tight acceleration limit sends some cycles to the active-set solver
     assert cli.main(["run", scenario_path, "--set", "a_max=0.5",
                      "--out", str(out)]) == 0
     capsys.readouterr()

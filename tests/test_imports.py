@@ -1,7 +1,6 @@
 """Import hygiene of the planner package: every name a planner module
 imports is read somewhere in that module, importing the package pins the
-BLAS pools before numpy loads, and scipy loads only at the first solve
-that runs SLSQP."""
+BLAS pools before numpy loads, and no solve loads scipy."""
 
 import ast
 import json
@@ -123,9 +122,9 @@ def test_import_keeps_a_blas_thread_count_already_set():
                     for v in BLAS_VARS}
 
 
-def test_scipy_loads_only_at_the_first_slsqp_solve():
+def test_no_scipy_module_loads_even_at_a_constrained_solve():
     seen = run_fresh(SCIPY_SPY, os.environ)
     assert "closed_form" in seen["statuses"]
     assert seen["after_episode"] == []
     assert seen["status"] == "converged"
-    assert "scipy.optimize" in seen["after_corner"]
+    assert seen["after_corner"] == []

@@ -21,7 +21,8 @@ def test_planbench_hooks_see_every_layer():
     # warm-up with `dataclasses.replace(config, duration=...)`
     config = dataclasses.replace(SimConfig(), duration=8.0)
     assert SimConfig().sim_step == config.sim_step == idm.DT
-    # a_max=2 binds in the left turn, so SLSQP runs (as in tjunction_comfort)
+    # a_max=2 binds in the left turn, so the active-set solver runs (as in
+    # tjunction_comfort)
     sc = load_scenario(T_JUNCTION_SCENARIO, overrides={"a_max": "2.0"})
     with capture.Recorder() as recorder, tracer.Tracer() as spans:
         run(sc, config)

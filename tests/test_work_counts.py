@@ -3,19 +3,26 @@ and the arbiter each call `rollout` through their own module binding; how
 often they do is a pure function of the scenario, so a skip that stops
 working (a vetoed option scored on, a shadowed reaction re-simulated, a
 vehicle's drive rolled out twice, a shadowed merge rolled out) fails here
-without any timing."""
+without any timing. So do the optimizer's constrained solves and their
+active-set iterations."""
 
 import math
+import types
 
 import pytest
 
-from crossplan import SimConfig, arbiter, load_scenario, run
+from crossplan import SimConfig, arbiter, load_scenario, optimizer, run
 
 from scenes import (ROLLOUT_LAYERS, SCENARIO_DIR, T_JUNCTION_SCENARIO,
                     add_random_vehicles, count_options, count_rollouts)
 
 # rollouts per binding over the 8 s episode below
 EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 99, "arbiter": 31}
+
+# constrained solves (those that reach the active-set solver) and their
+# summed `NlpResult.iterations` over the bundled t_junction episode at
+# agent seed 0 under a_max=2, as in planbench's tjunction_comfort
+EXPECTED_CONSTRAINED = {"solves": 5, "iterations": 10}
 
 # rollouts per binding and options generated over 4 s of each bundled scene
 # with 40 added vehicles, traffic in which the real leader shadows most
@@ -68,3 +75,30 @@ def test_dense_rollouts_per_binding_and_options(monkeypatch, scene):
     count_options(monkeypatch, counts)
     run(sc, SimConfig(duration=4.0))
     assert counts == EXPECTED_DENSE[scene]
+
+
+def test_constrained_solves_and_their_iterations(monkeypatch):
+    sc = load_scenario(T_JUNCTION_SCENARIO, overrides={"a_max": "2.0"},
+                       seed=0)
+    handle = optimizer.optimize
+    solve = optimizer.solve
+    reached = [False]
+    counts = {"solves": 0, "iterations": 0}
+
+    def minimize(*args, **kwargs):
+        reached[0] = True
+        return handle.minimize(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        reached[0] = False
+        result = solve(*args, **kwargs)
+        if reached[0]:
+            counts["solves"] += 1
+            counts["iterations"] += result.iterations
+        return result
+
+    monkeypatch.setattr(optimizer, "optimize",
+                        types.SimpleNamespace(minimize=minimize))
+    monkeypatch.setattr(optimizer, "solve", counted)
+    run(sc, SimConfig())
+    assert counts == EXPECTED_CONSTRAINED
