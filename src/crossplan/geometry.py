@@ -14,6 +14,10 @@ from .errors import PositionOutOfCorridor, SOutOfRange
 CORRIDOR = 50.0          # m, farthest projection accepted onto a route
 LANE_HALF_WIDTH = 1.75   # m, conflict-zone proximity threshold
 CONFLICT_SAMPLE_STEP = 0.5
+# m, farthest centerline distance the conflict-zone rules look at: twice the
+# half-width, plus a margin so that no rounded distance at a threshold can
+# fall on the other side of the box test
+CONFLICT_REACH = 2.0 * LANE_HALF_WIDTH + 1.0
 
 
 def normalize_angle(a: float) -> float:
@@ -33,6 +37,8 @@ class Polyline:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("polyline needs at least two 2-D points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("polyline points must be finite")
         seg = np.diff(pts, axis=0)
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(seg_len <= 0.0):
@@ -41,6 +47,7 @@ class Polyline:
         self.points.setflags(write=False)
         self.seg_vec = seg
         self.seg_len = seg_len
+        self._seg_len2 = seg_len**2
         self.seg_dir = seg / seg_len[:, None]
         self.arc = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.seg_heading = np.arctan2(seg[:, 1], seg[:, 0])
@@ -94,14 +101,17 @@ class Polyline:
         d = math.copysign(dist[i], cross) if dist[i] > 0.0 else 0.0
         return s, d, float(dist[i])
 
-    def _to_segments(self, p):
-        """Per point of p (..., 2) and per segment, on a new second-last axis:
-        the clipped foot parameter t, the offset p - foot and its length."""
-        p = p[..., None, :]
-        rel = p - self.points[:-1]
-        t = np.einsum("...ij,ij->...i", rel, self.seg_vec) / (self.seg_len**2)
+    def _to_segments(self, p, seg=slice(None)):
+        """Feet of perpendiculars from points p (..., 2) onto the segments
+        `seg` (all of them by default), with p broadcast against their
+        (..., 2) start points: the clipped foot parameter t, the offset
+        p - foot and its length. `project` passes one point and all
+        segments, the conflict-zone builder one segment index per point."""
+        start, vec = self.points[:-1][seg], self.seg_vec[seg]
+        rel = p - start
+        t = np.einsum("...j,...j->...", rel, vec) / self._seg_len2[seg]
         t = np.clip(t, 0.0, 1.0)
-        diff = p - (self.points[:-1] + t[..., None] * self.seg_vec)
+        diff = p - (start + t[..., None] * vec)
         return t, diff, np.hypot(diff[..., 0], diff[..., 1])
 
     def sample(self, step: float):
@@ -196,11 +206,24 @@ def compute_conflict_zone(route_a: Route,
     stay within one lane half-width until the route ends (a shared lane).
     Crossing: the interval where the centerlines pass within twice the
     half-width of each other and diverge afterwards.
+
+    Each route is sampled every CONFLICT_SAMPLE_STEP of arc length and each
+    sample is measured against the other centerline in two steps: a filter
+    keeps the segments whose bounding box, grown by CONFLICT_REACH, holds the
+    sample, and `project`'s arithmetic refines the distance to those alone.
+    A sample that no grown box holds is farther than the reach, which no
+    rule looks at.
     """
-    sa, xa = route_a.centerline.sample(CONFLICT_SAMPLE_STEP)
-    sb, xb = route_b.centerline.sample(CONFLICT_SAMPLE_STEP)
-    da = route_b.centerline._to_segments(xa)[2].min(axis=1)
-    db = route_a.centerline._to_segments(xb)[2].min(axis=1)
+    return _conflict_zone(
+        route_a, route_a.centerline.sample(CONFLICT_SAMPLE_STEP),
+        route_b, route_b.centerline.sample(CONFLICT_SAMPLE_STEP))
+
+
+def _conflict_zone(route_a, samples_a, route_b, samples_b):
+    """`compute_conflict_zone` from each route's (s, xy) samples."""
+    (sa, xa), (sb, xb) = samples_a, samples_b
+    da = _distances_within_reach(route_b.centerline, xa)
+    db = _distances_within_reach(route_a.centerline, xb)
 
     merge_a = _merge_start(sa, da)
     merge_b = _merge_start(sb, db)
@@ -219,6 +242,34 @@ def compute_conflict_zone(route_a: Route,
             end={route_a.id: float(sa[ia[-1]]), route_b.id: float(sb[ib[-1]])},
         )
     return None
+
+
+def _distances_within_reach(line: Polyline, xy) -> np.ndarray:
+    """Distance from each point of xy (n, 2) to `line`: `project`'s distance
+    bit for bit up to CONFLICT_REACH, never less than it, and inf where no
+    segment's bounding box grown by the reach holds the point."""
+    lo = np.minimum(line.points[:-1], line.points[1:]) - CONFLICT_REACH
+    hi = np.maximum(line.points[:-1], line.points[1:]) + CONFLICT_REACH
+    # filter: sort the points along the axis they spread over most, so that
+    # each box's range on that axis is one run of the order; then test the
+    # other axis on the candidates of that run
+    extent = np.ptp(xy, axis=0)
+    axis = int(extent[1] > extent[0])
+    other = 1 - axis
+    order = np.argsort(xy[:, axis])
+    keys = xy[order, axis]
+    first = np.searchsorted(keys, lo[:, axis])
+    count = np.searchsorted(keys, hi[:, axis], side="right") - first
+    seg = np.repeat(np.arange(len(lo)), count)
+    point = order[np.arange(len(seg))
+                  - np.repeat(np.cumsum(count) - count - first, count)]
+    inside = ((xy[point, other] >= lo[seg, other])
+              & (xy[point, other] <= hi[seg, other]))
+    point, seg = point[inside], seg[inside]
+    # refine: exact distances of the kept pairs, least per point
+    dist = np.full(len(xy), math.inf)
+    np.minimum.at(dist, point, line._to_segments(xy[point], seg)[2])
+    return dist
 
 
 def _merge_start(s, dist):
@@ -246,10 +297,13 @@ class RouteGraph:
                 raise ValueError(f"unknown route in right_of_way: {over!r}/{under!r}")
             self.right_of_way.add((over, under))
         self.conflict_zones = {}
+        samples = {rid: route.centerline.sample(CONFLICT_SAMPLE_STEP)
+                   for rid, route in self.routes.items()}
         ids = sorted(self.routes)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                zone = compute_conflict_zone(self.routes[a], self.routes[b])
+                zone = _conflict_zone(self.routes[a], samples[a],
+                                      self.routes[b], samples[b])
                 if zone is not None:
                     self.conflict_zones[frozenset((a, b))] = zone
 

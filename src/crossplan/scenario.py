@@ -63,6 +63,8 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
         for r in _require(raw, "routes"):
             if not all(_is_number(c) for p in r["points"] for c in p):
                 raise ScenarioError(f"route {r['id']}: points must be numbers")
+            if not all(math.isfinite(c) for p in r["points"] for c in p):
+                raise ScenarioError(f"route {r['id']}: points must be finite")
             routes.append(Route(
                 id=str(r["id"]),
                 centerline=Polyline(r["points"]),

@@ -103,6 +103,10 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
      "cannot parse boolean from 1"),
     (lambda raw: raw.update(params={"use_virtual_leader": 0}),
      "cannot parse boolean from 0"),
+    (lambda raw: raw["routes"][0]["points"][1].__setitem__(0, math.nan),
+     "route main: points must be finite"),
+    (lambda raw: raw["routes"][1]["points"][2].__setitem__(1, math.inf),
+     "route ramp: points must be finite"),
 ], ids=["negative_duration", "nan_duration", "ego_off_route",
         "negative_ego_speed", "negative_dt_inter", "zero_lambda",
         "nan_vehicle_speed", "infinite_ego_speed", "infinite_vehicle_speed",
@@ -112,7 +116,8 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
         "boolean_speed_limit", "boolean_point", "string_duration",
         "string_seed", "string_ego_speed", "string_vehicle_s",
         "string_speed_limit", "string_point", "string_param",
-        "one_as_bool_param", "zero_as_bool_param"])
+        "one_as_bool_param", "zero_as_bool_param", "nan_point",
+        "infinite_point"])
 def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
                                            message):
     raw = tiny_scenario_dict()

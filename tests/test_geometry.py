@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossplan import Polyline, Route, RouteGraph
+from crossplan import Polyline, Route, RouteGraph, geometry
 from crossplan.errors import PositionOutOfCorridor, SOutOfRange
 from crossplan.geometry import (
+    CONFLICT_REACH,
+    LANE_HALF_WIDTH,
     ConflictZone,
+    _distances_within_reach,
     compute_conflict_zone,
     normalize_angle,
     project_to_route,
@@ -168,23 +171,102 @@ def test_segment_lookup_keeps_both_former_rules(n_points):
         assert line.heading_at(float(si)) == line.seg_heading[want]
 
 
-def test_conflict_distances_are_project_distances():
+def _bundled_and_gentle_pairs(rng):
+    """Ordered pairs of distinct bundled centerlines, gentle random
+    polylines paired both ways, and each gentle polyline with itself."""
     lines = [route.centerline
              for graph in (merge_scenario().graph, t_junction_scenario().graph)
              for route in graph.routes.values()]
-    rng = np.random.default_rng(11)
     gentle = [_gentle_polyline(rng) for _ in range(6)]
-    pairs = ([(a, b) for a in lines for b in lines if a is not b]
-             + list(zip(gentle[::2], gentle[1::2]))
-             + list(zip(gentle[1::2], gentle[::2])))
-    for a, b in pairs + [(g, g) for g in gentle]:
+    return ([(a, b) for a in lines for b in lines if a is not b]
+            + list(zip(gentle[::2], gentle[1::2]))
+            + list(zip(gentle[1::2], gentle[::2]))
+            + [(g, g) for g in gentle])
+
+
+def test_conflict_distances_are_project_distances():
+    rng = np.random.default_rng(11)
+    dropped = 0
+    for a, b in _bundled_and_gentle_pairs(rng):
         _, xy = a.sample(0.5)
         for points in (xy, xy + rng.normal(0.0, 1.0, xy.shape)):
             want = np.array([b.project(p)[2] for p in points])
             # the distances `compute_conflict_zone` holds against its
-            # thresholds
-            got = b._to_segments(points)[2].min(axis=1)
-            assert np.array_equal(got, want)
+            # thresholds: a least over some of the segments, so never below
+            # `project`'s, and `project`'s within reach, where the filter
+            # keeps the nearest segment
+            got = _distances_within_reach(b, points)
+            assert np.all(got >= want)
+            within = want <= CONFLICT_REACH - 1e-9
+            assert np.array_equal(got[within], want[within])
+            assert np.all(want[got != want] > 2.0 * LANE_HALF_WIDTH)
+            dropped += np.count_nonzero(np.isinf(got))
+    assert dropped > 0  # the filter is exercised
+
+
+def _offset_line(rid, p0, p1, offset, n=41):
+    """Straight route from p0 to p1 moved `offset` along its left normal."""
+    p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
+    u = (p1 - p0) / np.hypot(*(p1 - p0))
+    shift = offset * np.array([-u[1], u[0]])
+    return line_route(rid, p0 + shift, p1 + shift, n=n)
+
+
+def _boundary_pairs():
+    """Route pairs whose centerlines sit at or near the zone thresholds."""
+    pairs = []
+    for gap in (LANE_HALF_WIDTH, 2.0 * LANE_HALF_WIDTH):
+        for eps in (-1e-9, 0.0, 1e-9):
+            a = line_route("a", [0.0, 0.0], [200.0, 0.0])
+            pairs.append((a, line_route("b", [30.0, gap + eps],
+                                        [200.0, gap + eps], n=17)))
+            # diagonal segments, whose bounding boxes are large
+            pairs.append((_offset_line("a", [0.0, 0.0], [150.0, 150.0], 0.0,
+                                       n=4),
+                          _offset_line("b", [-20.0, -20.0], [150.0, 150.0],
+                                       gap + eps, n=3)))
+    diagonal = Polyline([[0.0, 0.0], [80.0, 80.0], [160.0, 0.0],
+                         [240.0, 80.0]])
+    pairs.append((Route("a", diagonal, 15.0),
+                  line_route("b", [0.0, 40.0], [240.0, 40.0], n=5)))
+    # touching the other route only at an end vertex
+    main = line_route("a", [0.0, 0.0], [100.0, 0.0])
+    pairs.append((main, line_route("b", [50.0, -60.0], [50.0, 0.0])))
+    pairs.append((main, line_route("b", [100.0, 0.0], [100.0, 80.0])))
+    return pairs
+
+
+def test_conflict_zones_equal_the_full_scan(monkeypatch):
+    pairs = [(Route("a", a, 15.0), Route("b", b, 15.0))
+             for a, b in _bundled_and_gentle_pairs(np.random.default_rng(11))]
+    for route in (merge_scenario().graph.routes["ramp"],
+                  t_junction_scenario().graph.routes["side"],
+                  circle_route("c", 40.0, n=90)):
+        line = route.centerline
+        reverse = Route("b", Polyline(line.points[::-1]), 15.0)
+        pairs += [(route, Route("b", line, 15.0)), (route, reverse)]
+    pairs += _boundary_pairs()
+
+    def full_scan(line, xy):  # every sample against every segment
+        return line._to_segments(xy[:, None, :])[2].min(axis=1)
+
+    kinds = set()
+    for a, b in pairs:
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_distances_within_reach", full_scan)
+            want = compute_conflict_zone(a, b)
+        assert compute_conflict_zone(a, b) == want
+        assert RouteGraph([a, b]).zone_between(a.id, b.id) == want
+        kinds.add(want.kind if want else None)
+        for line, other in ((a.centerline, b.centerline),
+                            (b.centerline, a.centerline)):
+            _, xy = line.sample(0.5)
+            got = _distances_within_reach(other, xy)
+            scan = full_scan(other, xy)
+            within = scan <= CONFLICT_REACH - 1e-9
+            assert np.array_equal(got[within], scan[within])
+            assert np.all(got >= scan)
+    assert kinds == {"merging", "crossing", None}
 
 
 def test_bundled_scenarios_conflict_zones():
@@ -236,6 +318,11 @@ def test_polyline_rejects_degenerate_input():
         Polyline([[0.0, 0.0]])
     with pytest.raises(ValueError):
         Polyline([[1.0, 1.0], [1.0, 1.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Polyline([[0.0, 0.0], [bad, 0.0], [10.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Polyline([[0.0, 0.0], [10.0, bad]])
 
 
 def test_crossing_zone_between_perpendicular_routes():

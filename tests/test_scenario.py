@@ -1,6 +1,7 @@
 """Planner parameters and scenario file parsing."""
 
 import copy
+import math
 from dataclasses import fields
 
 import pytest
@@ -141,6 +142,10 @@ def test_scenario_params_block_applies_before_overrides():
     (lambda r: r["vehicles"][0].update(agent="walker"), "unknown agent"),
     (lambda r: r["vehicles"].append(dict(r["vehicles"][0])), "duplicate"),
     (lambda r: r["routes"][0].pop("points"), "malformed"),
+    (lambda r: r["routes"][0]["points"][1].__setitem__(0, math.nan),
+     "route main: points must be finite"),
+    (lambda r: r["routes"][1]["points"][0].__setitem__(1, -math.inf),
+     "route ramp: points must be finite"),
 ])
 def test_scenario_validation_errors(mutate, match):
     raw = tiny_scenario_dict(vehicles=[

@@ -4,14 +4,16 @@ often they do is a pure function of the scenario, so a skip that stops
 working (a vetoed option scored on, a shadowed reaction re-simulated, a
 vehicle's drive rolled out twice, a shadowed merge rolled out) fails here
 without any timing. So do the optimizer's constrained solves and their
-active-set iterations."""
+active-set iterations, and the exact point-segment distances that building
+a route graph's conflict zones evaluates."""
 
 import math
 import types
 
 import pytest
 
-from crossplan import SimConfig, arbiter, load_scenario, optimizer, run
+from crossplan import (Polyline, SimConfig, arbiter, load_scenario,
+                       optimizer, run)
 
 from scenes import (ROLLOUT_LAYERS, SCENARIO_DIR, T_JUNCTION_SCENARIO,
                     add_random_vehicles, count_options, count_rollouts)
@@ -23,6 +25,11 @@ EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 99, "arbiter": 31}
 # summed `NlpResult.iterations` over the bundled t_junction episode at
 # agent seed 0 under a_max=2, as in planbench's tjunction_comfort
 EXPECTED_CONSTRAINED = {"solves": 5, "iterations": 10}
+
+# exact point-segment distances evaluated while loading each bundled scene,
+# all of them in its route graph's conflict zones; a scan of every sample
+# against every segment of the other route would evaluate 343,467 and 516,568
+EXPECTED_GRAPH_DISTANCES = {"merge_rural": 3362, "t_junction": 11496}
 
 # rollouts per binding and options generated over 4 s of each bundled scene
 # with 40 added vehicles, traffic in which the real leader shadows most
@@ -102,3 +109,18 @@ def test_constrained_solves_and_their_iterations(monkeypatch):
     monkeypatch.setattr(optimizer, "solve", counted)
     run(sc, SimConfig())
     assert counts == EXPECTED_CONSTRAINED
+
+
+@pytest.mark.parametrize("scene", sorted(EXPECTED_GRAPH_DISTANCES))
+def test_point_segment_distances_per_graph_build(monkeypatch, scene):
+    to_segments = Polyline._to_segments
+    count = [0]
+
+    def counted(self, *args):
+        t, diff, dist = to_segments(self, *args)
+        count[0] += dist.size
+        return t, diff, dist
+
+    monkeypatch.setattr(Polyline, "_to_segments", counted)
+    load_scenario(SCENARIO_DIR / f"{scene}.json")
+    assert count[0] == EXPECTED_GRAPH_DISTANCES[scene]
