@@ -114,10 +114,17 @@ class Polyline:
         diff = p - (start + t[..., None] * vec)
         return t, diff, np.hypot(diff[..., 0], diff[..., 1])
 
+    def grid(self, step: float) -> np.ndarray:
+        """The arc-length grid at `step`: evenly spaced from 0 to the length,
+        both included, no farther apart than `step`. The count ignores the
+        rounding of the length, so that a moved copy of the line gets the
+        same grid (750.0000000000015 m at 0.5 m has 750 m's 1,501 samples)."""
+        n = max(int(math.ceil(self.length / step - 1e-9)) + 1, 2)
+        return np.linspace(0.0, self.length, n)
+
     def sample(self, step: float):
-        """(s, xy) samples at a uniform arc-length step, endpoint included."""
-        n = max(int(math.ceil(self.length / step)) + 1, 2)
-        s = np.linspace(0.0, self.length, n)
+        """(s, xy) at the arc lengths of `grid(step)`."""
+        s = self.grid(step)
         return s, self.points_at(s)
 
 
@@ -207,21 +214,16 @@ def compute_conflict_zone(route_a: Route,
     Crossing: the interval where the centerlines pass within twice the
     half-width of each other and diverge afterwards.
 
-    Each route is sampled every CONFLICT_SAMPLE_STEP of arc length and each
+    Each route is sampled on its `grid(CONFLICT_SAMPLE_STEP)` and each
     sample is measured against the other centerline in two steps: a filter
     keeps the segments whose bounding box, grown by CONFLICT_REACH, holds the
     sample, and `project`'s arithmetic refines the distance to those alone.
     A sample that no grown box holds is farther than the reach, which no
-    rule looks at.
+    rule looks at. A moved or rotated copy of the map has the same grids and
+    so the same zones, to rounding.
     """
-    return _conflict_zone(
-        route_a, route_a.centerline.sample(CONFLICT_SAMPLE_STEP),
-        route_b, route_b.centerline.sample(CONFLICT_SAMPLE_STEP))
-
-
-def _conflict_zone(route_a, samples_a, route_b, samples_b):
-    """`compute_conflict_zone` from each route's (s, xy) samples."""
-    (sa, xa), (sb, xb) = samples_a, samples_b
+    sa, xa = route_a.centerline.sample(CONFLICT_SAMPLE_STEP)
+    sb, xb = route_b.centerline.sample(CONFLICT_SAMPLE_STEP)
     da = _distances_within_reach(route_b.centerline, xa)
     db = _distances_within_reach(route_a.centerline, xb)
 
@@ -288,7 +290,11 @@ class RouteGraph:
     """Routes plus right-of-way relations and pairwise conflict zones."""
 
     def __init__(self, routes, right_of_way=()):
-        self.routes = {r.id: r for r in routes}
+        self.routes = {}
+        for r in routes:
+            if r.id in self.routes:
+                raise ValueError(f"duplicate route id {r.id!r}")
+            self.routes[r.id] = r
         self.right_of_way = set()
         for over, under in right_of_way:
             if over == under:
@@ -297,13 +303,10 @@ class RouteGraph:
                 raise ValueError(f"unknown route in right_of_way: {over!r}/{under!r}")
             self.right_of_way.add((over, under))
         self.conflict_zones = {}
-        samples = {rid: route.centerline.sample(CONFLICT_SAMPLE_STEP)
-                   for rid, route in self.routes.items()}
         ids = sorted(self.routes)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                zone = _conflict_zone(self.routes[a], samples[a],
-                                      self.routes[b], samples[b])
+                zone = compute_conflict_zone(self.routes[a], self.routes[b])
                 if zone is not None:
                     self.conflict_zones[frozenset((a, b))] = zone
 

@@ -148,12 +148,11 @@ def _curve_limit(route: Route) -> tuple[float, np.ndarray]:
     pass on the capped speeds: sqrt(L*L + 2*PROFILE_DECEL*ds) >= L, and
     rounding is monotone.
     """
-    n = max(int(math.ceil(route.length / PROFILE_STEP)) + 1, 2)
-    s = np.linspace(0.0, route.length, n)
+    s = route.centerline.grid(PROFILE_STEP)
     ds = s[1] - s[0]
     kappa = np.abs(route.centerline.curvature_at(s))
     v = np.sqrt(A_LAT_MAX / np.maximum(kappa, _KAPPA_EPS))
-    for i in range(n - 2, -1, -1):
+    for i in range(len(s) - 2, -1, -1):
         v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * PROFILE_DECEL * ds))
     v.setflags(write=False)
     return float(ds), v

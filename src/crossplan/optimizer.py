@@ -126,10 +126,6 @@ class CartesianTrajectory:
     def __len__(self):
         return len(self.positions)
 
-    def accelerations(self) -> np.ndarray:
-        """Central-stencil accelerations a_n for n = 1..N-2, shape (N-2, 2)."""
-        return _accelerations(self.positions, self.dt)
-
 
 def _velocities(x: np.ndarray, dt: float) -> np.ndarray:
     """v_n = (x_{n+1} - x_{n-1}) / (2 dt) for n = 1..N-2."""

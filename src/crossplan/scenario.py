@@ -73,6 +73,8 @@ def scenario_from_dict(raw: dict, overrides: dict | None = None,
                     _number(r["intersection_start"], "intersection_start")
                     if r.get("intersection_start") is not None else None),
             ))
+        if len({r.id for r in routes}) != len(routes):
+            raise ScenarioError("duplicate route ids")
         graph = RouteGraph(routes, right_of_way=[tuple(p) for p in
                                                  raw.get("right_of_way", [])])
         ego = _require(raw, "ego")

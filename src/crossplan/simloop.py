@@ -26,6 +26,10 @@ class SimConfig:
     sim_step: ClassVar[float] = DT
     duration: Optional[float] = None  # defaults to the scenario's
 
+    def __post_init__(self):
+        if self.duration is not None and not 0.0 <= self.duration < math.inf:
+            raise ValueError("SimConfig.duration must be finite and >= 0")
+
 
 @dataclass
 class TraceRecord:

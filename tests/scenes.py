@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,15 @@ def t_junction_scenario(**kwargs):
 
 def merge_graph() -> RouteGraph:
     return merge_scenario().graph
+
+
+def moved_main() -> Route:
+    """merge_rural's 750 m `main`, rotated by 0.3 rad and shifted by
+    (2000 m, 0): its length reads 750.0000000000015."""
+    main = merge_graph().routes["main"]
+    c, s = math.cos(0.3), math.sin(0.3)
+    pts = main.centerline.points @ np.array([[c, s], [-s, c]]) + [2000.0, 0.0]
+    return dataclasses.replace(main, centerline=Polyline(pts))
 
 
 def t_junction_graph() -> RouteGraph:

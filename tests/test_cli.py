@@ -107,6 +107,7 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
      "route main: points must be finite"),
     (lambda raw: raw["routes"][1]["points"][2].__setitem__(1, math.inf),
      "route ramp: points must be finite"),
+    (lambda raw: raw["routes"][1].update(id="main"), "duplicate route ids"),
 ], ids=["negative_duration", "nan_duration", "ego_off_route",
         "negative_ego_speed", "negative_dt_inter", "zero_lambda",
         "nan_vehicle_speed", "infinite_ego_speed", "infinite_vehicle_speed",
@@ -117,7 +118,7 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
         "string_seed", "string_ego_speed", "string_vehicle_s",
         "string_speed_limit", "string_point", "string_param",
         "one_as_bool_param", "zero_as_bool_param", "nan_point",
-        "infinite_point"])
+        "infinite_point", "duplicate_route_id"])
 def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
                                            message):
     raw = tiny_scenario_dict()

@@ -19,7 +19,7 @@ from crossplan.geometry import (
 )
 
 from scenes import (circle_route, line_route, merge_graph, merge_scenario,
-                    t_junction_graph, t_junction_scenario)
+                    moved_main, t_junction_graph, t_junction_scenario)
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0))
@@ -137,15 +137,21 @@ def test_points_at_equals_stacked_point_at():
 
 
 def test_sample_keeps_the_per_segment_formula():
-    line = _gentle_polyline(np.random.default_rng(9))
-    s, xy = line.sample(0.5)
-    assert s[0] == 0.0 and s[-1] == line.length
-    # the formula `sample` used before it called `points_at`; the zero
-    # offset term that `points_at` adds can flip only the sign of a zero
-    i = np.clip(np.searchsorted(line.arc, s, side="right") - 1, 0,
-                len(line.seg_len) - 1)
-    want = line.points[i] + line.seg_dir[i] * (s - line.arc[i])[:, None]
-    assert np.array_equal(xy, want)
+    # (line, samples at 0.5 m): the grid's count ignores the rounding of a
+    # length, here of a moved 750 m route, but not a real excess of 1e-6
+    near = 1500 * 0.5 * (1.0 + 1e-6)
+    for line, n in [(_gentle_polyline(np.random.default_rng(9)), 81),
+                    (moved_main().centerline, 1501),
+                    (Polyline([[0.0, 0.0], [near, 0.0]]), 1502)]:
+        s, xy = line.sample(0.5)
+        assert len(s) == n
+        assert s[0] == 0.0 and s[-1] == line.length
+        # the formula `sample` used before it called `points_at`; the zero
+        # offset term that `points_at` adds can flip only the sign of a zero
+        i = np.clip(np.searchsorted(line.arc, s, side="right") - 1, 0,
+                    len(line.seg_len) - 1)
+        want = line.points[i] + line.seg_dir[i] * (s - line.arc[i])[:, None]
+        assert np.array_equal(xy, want)
 
 
 @pytest.mark.parametrize("n_points", [2, 41])
@@ -373,6 +379,13 @@ def test_route_graph_validates_right_of_way():
     assert not graph.has_priority_over("b", "a")
     assert graph.must_yield("b")
     assert not graph.must_yield("a")
+
+
+def test_route_graph_rejects_duplicate_route_ids():
+    a = line_route("a", [-50.0, 0.0], [50.0, 0.0])
+    b = line_route("b", [0.0, -50.0], [0.0, 50.0])
+    with pytest.raises(ValueError, match="duplicate route id 'a'"):
+        RouteGraph([a, b, line_route("a", [0.0, 0.0], [9.0, 9.0])])
 
 
 def test_route_validates_intersection_start():

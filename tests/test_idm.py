@@ -18,10 +18,11 @@ from crossplan import (
 )
 from crossplan.errors import HorizonMismatch, NonPositiveGap
 from crossplan.idm import (_GAP_EPS, A_LAT_MAX, HARD_DECEL, PROFILE_DECEL,
-                           VEHICLE_LENGTH, closer_leader, route_profile,
-                           stop_target)
+                           PROFILE_STEP, VEHICLE_LENGTH, closer_leader,
+                           route_profile, stop_target)
 
-from scenes import circle_route, line_route, merge_scenario, t_junction_scenario
+from scenes import (circle_route, line_route, merge_scenario, moved_main,
+                    t_junction_scenario)
 
 
 def reference_acceleration(v, v0, gap, dv, p):
@@ -239,7 +240,8 @@ def test_speed_profile_backward_pass_bounds_deceleration():
 
 def capped_profile_loop(route, v_limit, a_lat_max, decel):
     """The backward pass run on speeds already capped at the limit."""
-    n = max(int(math.ceil(route.length / 0.5)) + 1, 2)
+    # the count ignores the rounding of the length
+    n = max(int(math.ceil(route.length / 0.5 - 1e-9)) + 1, 2)
     s = np.linspace(0.0, route.length, n)
     ds = s[1] - s[0]
     kappa = np.abs([route.centerline.curvature_at(si) for si in s])
@@ -254,7 +256,9 @@ def capped_profile_loop(route, v_limit, a_lat_max, decel):
     bend_route(),
     merge_scenario().ego_route,
     t_junction_scenario().ego_route,
-], ids=["circle", "bend", "merge_rural_ego", "t_junction_ego"])
+    moved_main(),
+], ids=["circle", "bend", "merge_rural_ego", "t_junction_ego",
+        "merge_rural_main_moved"])
 @pytest.mark.parametrize("a_lat_max, decel", [(A_LAT_MAX, PROFILE_DECEL)])
 def test_capping_the_curve_limit_equals_the_capped_backward_pass(
         route, a_lat_max, decel):
@@ -267,6 +271,7 @@ def test_capping_the_curve_limit_equals_the_capped_backward_pass(
         profile = target_speed_profile(route, v_limit)
         assert profile.s0_grid == 0.0
         assert profile.ds == ds
+        assert len(profile.v) == len(route.centerline.grid(PROFILE_STEP))
         assert np.array_equal(profile.v, want), v_limit
 
 

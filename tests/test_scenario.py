@@ -141,6 +141,7 @@ def test_scenario_params_block_applies_before_overrides():
     (lambda r: r["vehicles"][0].update(v=-1.0), "negative speed"),
     (lambda r: r["vehicles"][0].update(agent="walker"), "unknown agent"),
     (lambda r: r["vehicles"].append(dict(r["vehicles"][0])), "duplicate"),
+    (lambda r: r["routes"][1].update(id="main"), "duplicate route ids"),
     (lambda r: r["routes"][0].pop("points"), "malformed"),
     (lambda r: r["routes"][0]["points"][1].__setitem__(0, math.nan),
      "route main: points must be finite"),

@@ -60,6 +60,10 @@ def test_trace_grid_and_duration():
     assert np.allclose(np.diff(t), 0.05)
     longer = run(_tiny(duration=1.5), SimConfig(duration=2.0))
     assert longer[-1].t == pytest.approx(2.0)
+    assert len(run(_tiny(), SimConfig(duration=0.0))) == 1
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            SimConfig(duration=bad)
 
 
 def test_replanning_keeps_the_executed_trajectory_continuous():
