@@ -33,9 +33,13 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.command == "run" and not Path(args.out).parent.is_dir():
-        print(f"error: --out {args.out}: no such directory", file=sys.stderr)
-        return EXIT_INPUT
+    if args.command == "run":
+        out = Path(args.out)
+        why = ("no such directory" if not out.parent.is_dir()
+               else "is a directory" if out.is_dir() else None)
+        if why:
+            print(f"error: --out {args.out}: {why}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         if args.command == "check":
             print(f"{scenario.name}: OK ({len(scenario.graph.routes)} routes, "

@@ -13,11 +13,6 @@ from .errors import PositionOutOfCorridor, SOutOfRange
 
 CORRIDOR = 50.0          # m, farthest projection accepted onto a route
 LANE_HALF_WIDTH = 1.75   # m, conflict-zone proximity threshold
-CONFLICT_SAMPLE_STEP = 0.5
-# m, farthest centerline distance the conflict-zone rules look at: twice the
-# half-width, plus a margin so that no rounded distance at a threshold can
-# fall on the other side of the box test
-CONFLICT_REACH = 2.0 * LANE_HALF_WIDTH + 1.0
 
 
 def normalize_angle(a: float) -> float:
@@ -101,15 +96,13 @@ class Polyline:
         d = math.copysign(dist[i], cross) if dist[i] > 0.0 else 0.0
         return s, d, float(dist[i])
 
-    def _to_segments(self, p, seg=slice(None)):
-        """Feet of perpendiculars from points p (..., 2) onto the segments
-        `seg` (all of them by default), with p broadcast against their
-        (..., 2) start points: the clipped foot parameter t, the offset
-        p - foot and its length. `project` passes one point and all
-        segments, the conflict-zone builder one segment index per point."""
-        start, vec = self.points[:-1][seg], self.seg_vec[seg]
+    def _to_segments(self, p):
+        """Feet of perpendiculars from points p (..., 2) onto every segment,
+        with p broadcast against the (n_seg, 2) start points: the clipped
+        foot parameter t, the offset p - foot and its length."""
+        start, vec = self.points[:-1], self.seg_vec
         rel = p - start
-        t = np.einsum("...j,...j->...", rel, vec) / self._seg_len2[seg]
+        t = np.einsum("...j,...j->...", rel, vec) / self._seg_len2
         t = np.clip(t, 0.0, 1.0)
         diff = p - (start + t[..., None] * vec)
         return t, diff, np.hypot(diff[..., 0], diff[..., 1])
@@ -121,11 +114,6 @@ class Polyline:
         same grid (750.0000000000015 m at 0.5 m has 750 m's 1,501 samples)."""
         n = max(int(math.ceil(self.length / step - 1e-9)) + 1, 2)
         return np.linspace(0.0, self.length, n)
-
-    def sample(self, step: float):
-        """(s, xy) at the arc lengths of `grid(step)`."""
-        s = self.grid(step)
-        return s, self.points_at(s)
 
 
 def _vertex_curvature(pts, seg, seg_len):
@@ -210,80 +198,92 @@ def compute_conflict_zone(route_a: Route,
     """Detect the crossing or merging region between two routes.
 
     Merging: earliest arc length on each route after which the centerlines
-    stay within one lane half-width until the route ends (a shared lane).
-    Crossing: the interval where the centerlines pass within twice the
-    half-width of each other and diverge afterwards.
+    stay closer than one lane half-width w until the route ends (a shared
+    lane). Crossing: from the first to the last arc length on each route
+    where the centerlines come within 2w of each other.
 
-    Each route is sampled on its `grid(CONFLICT_SAMPLE_STEP)` and each
-    sample is measured against the other centerline in two steps: a filter
-    keeps the segments whose bounding box, grown by CONFLICT_REACH, holds the
-    sample, and `project`'s arithmetic refines the distance to those alone.
-    A sample that no grown box holds is farther than the reach, which no
-    rule looks at. A moved or rotated copy of the map has the same grids and
-    so the same zones, to rounding.
+    Both rules read exact arc-length intervals (`_within`), with no
+    sampling. Only segment pairs whose bounding boxes overlap once grown by
+    2w can come that close, so only those are measured.
     """
-    sa, xa = route_a.centerline.sample(CONFLICT_SAMPLE_STEP)
-    sb, xb = route_b.centerline.sample(CONFLICT_SAMPLE_STEP)
-    da = _distances_within_reach(route_b.centerline, xa)
-    db = _distances_within_reach(route_a.centerline, xb)
-
-    merge_a = _merge_start(sa, da)
-    merge_b = _merge_start(sb, db)
-    if merge_a is not None and merge_b is not None:
-        return ConflictZone(kind="merging",
-                            start={route_a.id: merge_a, route_b.id: merge_b})
-
-    near_a = da <= 2.0 * LANE_HALF_WIDTH
-    near_b = db <= 2.0 * LANE_HALF_WIDTH
-    if near_a.any() and near_b.any():
-        ia = np.flatnonzero(near_a)
-        ib = np.flatnonzero(near_b)
+    a, b = route_a.centerline, route_b.centerline
+    # segment boxes as (x, y) rows of corners: x is compared over all pairs,
+    # y over the pairs that x keeps
+    (lo_a, hi_a), (lo_b, hi_b) = ((np.minimum(p[:-1], p[1:]).T,
+                                   np.maximum(p[:-1], p[1:]).T)
+                                  for p in (a.points, b.points))
+    grow = 2.0 * LANE_HALF_WIDTH
+    i, j = np.nonzero((lo_a[0][:, None] <= hi_b[0] + grow)
+                      & (lo_b[0] <= hi_a[0][:, None] + grow))
+    keep = (lo_a[1][i] <= hi_b[1][j] + grow) & (lo_b[1][j] <= hi_a[1][i] + grow)
+    i, j = i[keep], j[keep]
+    spans = {route_a.id: (a, *_within(a, b, i, j)),
+             route_b.id: (b, *_within(b, a, j, i))}
+    merge = {rid: _merge_start(line, lo[0], hi[0])
+             for rid, (line, lo, hi) in spans.items()}
+    if None not in merge.values():
+        return ConflictZone(kind="merging", start=merge)
+    near = {rid: (lo[1, lo[1] <= hi[1]], hi[1, lo[1] <= hi[1]])
+            for rid, (_, lo, hi) in spans.items()}
+    if all(len(lo) for lo, _ in near.values()):
         return ConflictZone(
             kind="crossing",
-            start={route_a.id: float(sa[ia[0]]), route_b.id: float(sb[ib[0]])},
-            end={route_a.id: float(sa[ia[-1]]), route_b.id: float(sb[ib[-1]])},
-        )
+            start={rid: float(lo.min()) for rid, (lo, _) in near.items()},
+            end={rid: float(hi.max()) for rid, (_, hi) in near.items()})
     return None
 
 
-def _distances_within_reach(line: Polyline, xy) -> np.ndarray:
-    """Distance from each point of xy (n, 2) to `line`: `project`'s distance
-    bit for bit up to CONFLICT_REACH, never less than it, and inf where no
-    segment's bounding box grown by the reach holds the point."""
-    lo = np.minimum(line.points[:-1], line.points[1:]) - CONFLICT_REACH
-    hi = np.maximum(line.points[:-1], line.points[1:]) + CONFLICT_REACH
-    # filter: sort the points along the axis they spread over most, so that
-    # each box's range on that axis is one run of the order; then test the
-    # other axis on the candidates of that run
-    extent = np.ptp(xy, axis=0)
-    axis = int(extent[1] > extent[0])
-    other = 1 - axis
-    order = np.argsort(xy[:, axis])
-    keys = xy[order, axis]
-    first = np.searchsorted(keys, lo[:, axis])
-    count = np.searchsorted(keys, hi[:, axis], side="right") - first
-    seg = np.repeat(np.arange(len(lo)), count)
-    point = order[np.arange(len(seg))
-                  - np.repeat(np.cumsum(count) - count - first, count)]
-    inside = ((xy[point, other] >= lo[seg, other])
-              & (xy[point, other] <= hi[seg, other]))
-    point, seg = point[inside], seg[inside]
-    # refine: exact distances of the kept pairs, least per point
-    dist = np.full(len(xy), math.inf)
-    np.minimum.at(dist, point, line._to_segments(xy[point], seg)[2])
-    return dist
+def _within(line: Polyline, other: Polyline, i, j):
+    """Arc-length intervals (lo, hi) on `line` where its segment i[k] lies
+    closer than w (row 0) and within 2w (row 1) of `other`'s segment j[k];
+    lo > hi where it does not. The points within r of a segment form a
+    capsule: a disk of radius r at each end and the rectangle between them,
+    where the slabs along and across the segment overlap. A line meets each
+    piece in one interval, and their union is the capsule's."""
+    r = LANE_HALF_WIDTH * np.array([[1.0], [2.0]])
+
+    def closer(dist):  # a line exactly w away does not merge
+        return np.stack([dist < r[0], dist <= r[1]])
+
+    p, u = line.points[i], line.seg_dir[i]
+    e, n, half_len = other.seg_dir[j], other.seg_normal[j], 0.5 * other.seg_len[j]
+    rel = p - (other.points[j] + half_len[:, None] * e)
+    x0, y0, x1, y1 = (np.einsum("ij,ij->i", q, v) for q in (rel, u) for v in (e, n))
+    along = _slab(x0, x1, half_len, np.abs(x0) <= half_len)
+    across = _slab(y0, y1, r, closer(np.abs(y0)))
+    lo, hi = np.maximum(along[0], across[0]), np.minimum(along[1], across[1])
+    lo, hi = np.where(lo <= hi, lo, np.inf), np.where(lo <= hi, hi, -np.inf)
+    for c in (other.points[j], other.points[j + 1]):
+        rel = p - c
+        foot = -np.einsum("ij,ij->i", rel, u)
+        cross = np.abs(rel[:, 0] * u[:, 1] - rel[:, 1] * u[:, 0])
+        half = np.where(closer(cross), np.sqrt(np.maximum(r**2 - cross**2, 0.0)),
+                        -np.inf)
+        lo, hi = np.minimum(lo, foot - half), np.maximum(hi, foot + half)
+    lo, hi = np.maximum(lo, 0.0), np.minimum(hi, line.seg_len[i])
+    return line.arc[i] + lo, line.arc[i] + hi
 
 
-def _merge_start(s, dist):
-    """Earliest sample after which all remaining samples stay close."""
-    within = dist < LANE_HALF_WIDTH
-    if not within[-1]:
+def _slab(x0, x1, half, inside):
+    """The s with |x0 + s x1| <= half, as (lo, hi); where x1 = 0, every s
+    if `inside` and none if not."""
+    flat = x1 == 0.0
+    x1 = np.where(flat, 1.0, x1)
+    half = np.where(flat, np.where(inside, np.inf, -np.inf), half / np.abs(x1))
+    return -x0 / x1 - half, -x0 / x1 + half
+
+
+def _merge_start(line: Polyline, lo, hi) -> Optional[float]:
+    """Start of the union of the intervals (lo, hi) that reaches the line's
+    end, or None; an interval of length 0 touches at exactly w."""
+    keep = lo < hi
+    order = np.argsort(lo[keep])
+    lo, hi = lo[keep][order], hi[keep][order]
+    reach = np.maximum.accumulate(hi)
+    if len(hi) == 0 or reach[-1] < line.length:
         return None
-    # last index that violates; shared lane starts right after it
-    bad = np.flatnonzero(~within)
-    if len(bad) == 0:
-        return float(s[0])
-    return float(s[bad[-1] + 1])
+    gaps = np.flatnonzero(lo[1:] > reach[:-1])
+    return float(lo[gaps[-1] + 1] if len(gaps) else lo[0])
 
 
 class RouteGraph:
@@ -301,6 +301,9 @@ class RouteGraph:
                 raise ValueError("right_of_way must be irreflexive")
             if over not in self.routes or under not in self.routes:
                 raise ValueError(f"unknown route in right_of_way: {over!r}/{under!r}")
+            if (under, over) in self.right_of_way:
+                raise ValueError("right_of_way given both ways: "
+                                 f"{over!r}/{under!r}")
             self.right_of_way.add((over, under))
         self.conflict_zones = {}
         ids = sorted(self.routes)

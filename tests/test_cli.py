@@ -108,6 +108,8 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
     (lambda raw: raw["routes"][1]["points"][2].__setitem__(1, math.inf),
      "route ramp: points must be finite"),
     (lambda raw: raw["routes"][1].update(id="main"), "duplicate route ids"),
+    (lambda raw: raw["right_of_way"].append(["ramp", "main"]),
+     "right_of_way given both ways: 'ramp'/'main'"),
 ], ids=["negative_duration", "nan_duration", "ego_off_route",
         "negative_ego_speed", "negative_dt_inter", "zero_lambda",
         "nan_vehicle_speed", "infinite_ego_speed", "infinite_vehicle_speed",
@@ -118,7 +120,7 @@ def test_zero_speed_limit_is_an_input_error(tmp_path, capsys, command):
         "string_seed", "string_ego_speed", "string_vehicle_s",
         "string_speed_limit", "string_point", "string_param",
         "one_as_bool_param", "zero_as_bool_param", "nan_point",
-        "infinite_point", "duplicate_route_id"])
+        "infinite_point", "duplicate_route_id", "right_of_way_both_ways"])
 def test_check_rejects_out_of_range_inputs(tmp_path, capsys, change,
                                            message):
     raw = tiny_scenario_dict()
@@ -251,6 +253,16 @@ def test_run_checks_the_output_directory_before_simulating(
     assert err.startswith("error:")
     assert "no such directory" in err
     assert not out.parent.exists()
+
+
+def test_run_rejects_a_directory_as_output_before_simulating(
+        scenario_path, tmp_path, monkeypatch, capsys):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "run", simulate)
+    assert cli.main(["run", scenario_path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --out {tmp_path}: is a directory\n"
 
 
 def test_planner_errors_exit_with_code_one(scenario_path, monkeypatch, capsys):

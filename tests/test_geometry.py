@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossplan import Polyline, Route, RouteGraph, geometry
+from crossplan import Polyline, Route, RouteGraph
 from crossplan.errors import PositionOutOfCorridor, SOutOfRange
 from crossplan.geometry import (
-    CONFLICT_REACH,
     LANE_HALF_WIDTH,
     ConflictZone,
-    _distances_within_reach,
     compute_conflict_zone,
     normalize_angle,
     project_to_route,
@@ -143,11 +141,12 @@ def test_sample_keeps_the_per_segment_formula():
     for line, n in [(_gentle_polyline(np.random.default_rng(9)), 81),
                     (moved_main().centerline, 1501),
                     (Polyline([[0.0, 0.0], [near, 0.0]]), 1502)]:
-        s, xy = line.sample(0.5)
+        s = line.grid(0.5)
+        xy = line.points_at(s)
         assert len(s) == n
         assert s[0] == 0.0 and s[-1] == line.length
-        # the formula `sample` used before it called `points_at`; the zero
-        # offset term that `points_at` adds can flip only the sign of a zero
+        # the per-segment formula of the grid's points; the zero offset
+        # term that `points_at` adds can flip only the sign of a zero
         i = np.clip(np.searchsorted(line.arc, s, side="right") - 1, 0,
                     len(line.seg_len) - 1)
         want = line.points[i] + line.seg_dir[i] * (s - line.arc[i])[:, None]
@@ -190,26 +189,6 @@ def _bundled_and_gentle_pairs(rng):
             + [(g, g) for g in gentle])
 
 
-def test_conflict_distances_are_project_distances():
-    rng = np.random.default_rng(11)
-    dropped = 0
-    for a, b in _bundled_and_gentle_pairs(rng):
-        _, xy = a.sample(0.5)
-        for points in (xy, xy + rng.normal(0.0, 1.0, xy.shape)):
-            want = np.array([b.project(p)[2] for p in points])
-            # the distances `compute_conflict_zone` holds against its
-            # thresholds: a least over some of the segments, so never below
-            # `project`'s, and `project`'s within reach, where the filter
-            # keeps the nearest segment
-            got = _distances_within_reach(b, points)
-            assert np.all(got >= want)
-            within = want <= CONFLICT_REACH - 1e-9
-            assert np.array_equal(got[within], want[within])
-            assert np.all(want[got != want] > 2.0 * LANE_HALF_WIDTH)
-            dropped += np.count_nonzero(np.isinf(got))
-    assert dropped > 0  # the filter is exercised
-
-
 def _offset_line(rid, p0, p1, offset, n=41):
     """Straight route from p0 to p1 moved `offset` along its left normal."""
     p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
@@ -242,7 +221,47 @@ def _boundary_pairs():
     return pairs
 
 
-def test_conflict_zones_equal_the_full_scan(monkeypatch):
+def _scanned_distances(line, xy):
+    """Distance from each point of xy (n, 2) to `line`, one segment at a
+    time."""
+    dist = np.full(len(xy), math.inf)
+    for a, b in zip(line.points[:-1], line.points[1:]):
+        t = np.clip((xy - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        dist = np.minimum(dist, np.hypot(*(xy - a - t[:, None] * (b - a)).T))
+    return dist
+
+
+def _scanned_zone(route_a, route_b, step):
+    """The zone rules on samples every `step` m or closer, as (kind,
+    start, end): merging after the last sample of a route not closer than
+    w, crossing from the first to the last sample within 2w."""
+    s, near = {}, {}
+    for route, other in ((route_a, route_b), (route_b, route_a)):
+        s[route.id] = route.centerline.grid(step)
+        near[route.id] = _scanned_distances(
+            other.centerline, route.centerline.points_at(s[route.id]))
+    merge = {}
+    for rid, dist in near.items():
+        far = np.flatnonzero(dist >= LANE_HALF_WIDTH)
+        if len(far) == 0 or far[-1] < len(dist) - 1:
+            merge[rid] = s[rid][far[-1] + 1] if len(far) else 0.0
+    if len(merge) == 2:
+        return "merging", merge, {}
+    within = {rid: s[rid][dist <= 2.0 * LANE_HALF_WIDTH]
+              for rid, dist in near.items()}
+    if all(len(w) for w in within.values()):
+        return ("crossing", {rid: w[0] for rid, w in within.items()},
+                {rid: w[-1] for rid, w in within.items()})
+    return None, {}, {}
+
+
+# the zone kinds of `_boundary_pairs`: centerlines exactly w apart do not
+# merge, and exactly 2w apart they cross
+BOUNDARY_KINDS = (["merging"] * 2 + ["crossing"] * 8 + [None] * 2
+                  + ["crossing"] * 3)
+
+
+def test_conflict_zones_equal_the_full_scan():
     pairs = [(Route("a", a, 15.0), Route("b", b, 15.0))
              for a, b in _bundled_and_gentle_pairs(np.random.default_rng(11))]
     for route in (merge_scenario().graph.routes["ramp"],
@@ -251,42 +270,47 @@ def test_conflict_zones_equal_the_full_scan(monkeypatch):
         line = route.centerline
         reverse = Route("b", Polyline(line.points[::-1]), 15.0)
         pairs += [(route, Route("b", line, 15.0)), (route, reverse)]
-    pairs += _boundary_pairs()
-
-    def full_scan(line, xy):  # every sample against every segment
-        return line._to_segments(xy[:, None, :])[2].min(axis=1)
-
-    kinds = set()
-    for a, b in pairs:
-        with monkeypatch.context() as patch:
-            patch.setattr(geometry, "_distances_within_reach", full_scan)
-            want = compute_conflict_zone(a, b)
-        assert compute_conflict_zone(a, b) == want
-        assert RouteGraph([a, b]).zone_between(a.id, b.id) == want
-        kinds.add(want.kind if want else None)
-        for line, other in ((a.centerline, b.centerline),
-                            (b.centerline, a.centerline)):
-            _, xy = line.sample(0.5)
-            got = _distances_within_reach(other, xy)
-            scan = full_scan(other, xy)
-            within = scan <= CONFLICT_REACH - 1e-9
-            assert np.array_equal(got[within], scan[within])
-            assert np.all(got >= scan)
-    assert kinds == {"merging", "crossing", None}
+    # a shared lane that begins after an earlier close pass
+    pairs.append((line_route("a", [0.0, 0.0], [200.0, 0.0]), Route(
+        "b", Polyline([[0.0, 1.0], [20.0, 1.0], [40.0, 10.0], [60.0, 1.0],
+                       [200.0, 1.0]]), 15.0)))
+    boundary = _boundary_pairs()
+    step = 0.1
+    kinds = []
+    for a, b in pairs + boundary:
+        zone = compute_conflict_zone(a, b)
+        assert RouteGraph([a, b]).zone_between(a.id, b.id) == zone
+        kind, start, end = _scanned_zone(a, b, step)
+        kinds.append(zone.kind if zone else None)
+        assert kinds[-1] == kind
+        if zone is None:
+            continue
+        # the first sample inside comes at most a step after an exact
+        # start, the last one at most a step before an exact end
+        assert zone.start.keys() == start.keys() and zone.end.keys() == end.keys()
+        for rid in start:
+            assert -1e-9 <= start[rid] - zone.start[rid] <= step + 1e-9
+        for rid in end:
+            assert -1e-9 <= zone.end[rid] - end[rid] <= step + 1e-9
+    assert kinds[len(pairs):] == BOUNDARY_KINDS
+    assert set(kinds) == {"merging", "crossing", None}
 
 
 def test_bundled_scenarios_conflict_zones():
     merge = merge_scenario().graph
     assert merge.conflict_zones == {
         frozenset(("main", "ramp")): ConflictZone(
-            "merging", {"main": 480.5, "ramp": 289.43194348008785})}
+            "merging", {"main": 480.14788667911284,
+                        "ramp": 289.0645963382336})}
     junction = t_junction_scenario().graph
     assert junction.conflict_zones == {
         frozenset(("north", "side")): ConflictZone(
-            "merging", {"north": 252.0, "side": 121.90162578071792}),
+            "merging", {"north": 251.85206164597096,
+                        "side": 121.7049288573864}),
         frozenset(("side", "south")): ConflictZone(
-            "crossing", {"side": 114.90727020313574, "south": 244.5},
-            {"side": 124.39960991556869, "south": 254.0}),
+            "crossing",
+            {"side": 114.52876537819147, "south": 244.48859312793456},
+            {"side": 124.55162696038424, "south": 254.08269116717614}),
     }
 
 
@@ -374,6 +398,8 @@ def test_route_graph_validates_right_of_way():
         RouteGraph([a, b], right_of_way=[("a", "a")])
     with pytest.raises(ValueError):
         RouteGraph([a, b], right_of_way=[("a", "nope")])
+    with pytest.raises(ValueError, match="both ways: 'b'/'a'"):
+        RouteGraph([a, b], right_of_way=[("a", "b"), ("b", "a")])
     graph = RouteGraph([a, b], right_of_way=[("a", "b")])
     assert graph.has_priority_over("a", "b")
     assert not graph.has_priority_over("b", "a")

@@ -4,32 +4,33 @@ often they do is a pure function of the scenario, so a skip that stops
 working (a vetoed option scored on, a shadowed reaction re-simulated, a
 vehicle's drive rolled out twice, a shadowed merge rolled out) fails here
 without any timing. So do the optimizer's constrained solves and their
-active-set iterations, and the exact point-segment distances that building
-a route graph's conflict zones evaluates."""
+active-set iterations, and the segment pairs whose conflict-zone intervals
+building a route graph measures."""
 
 import math
 import types
 
 import pytest
 
-from crossplan import (Polyline, SimConfig, arbiter, load_scenario,
-                       optimizer, run)
+from crossplan import (SimConfig, arbiter, geometry, load_scenario, optimizer,
+                       run)
 
 from scenes import (ROLLOUT_LAYERS, SCENARIO_DIR, T_JUNCTION_SCENARIO,
                     add_random_vehicles, count_options, count_rollouts)
 
 # rollouts per binding over the 8 s episode below
-EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 99, "arbiter": 31}
+EXPECTED_ROLLOUTS = {"prediction": 120, "behavior": 98, "arbiter": 30}
 
 # constrained solves (those that reach the active-set solver) and their
 # summed `NlpResult.iterations` over the bundled t_junction episode at
 # agent seed 0 under a_max=2, as in planbench's tjunction_comfort
 EXPECTED_CONSTRAINED = {"solves": 5, "iterations": 10}
 
-# exact point-segment distances evaluated while loading each bundled scene,
-# all of them in its route graph's conflict zones; a scan of every sample
-# against every segment of the other route would evaluate 343,467 and 516,568
-EXPECTED_GRAPH_DISTANCES = {"merge_rural": 3362, "t_junction": 11496}
+# segment pairs measured while loading each bundled scene, all of them in
+# its route graph's conflict zones: the pairs that the box filter keeps, each
+# measured from both of its segments; without the filter every pair of
+# segments of two routes would be, 35,100 and 53,600
+EXPECTED_GRAPH_PAIRS = {"merge_rural": 376, "t_junction": 392}
 
 # rollouts per binding and options generated over 4 s of each bundled scene
 # with 40 added vehicles, traffic in which the real leader shadows most
@@ -37,7 +38,7 @@ EXPECTED_GRAPH_DISTANCES = {"merge_rural": 3362, "t_junction": 11496}
 EXPECTED_DENSE = {
     "merge_rural": {"prediction": 1010, "behavior": 40, "arbiter": 0,
                     "options": 40},
-    "t_junction": {"prediction": 1155, "behavior": 66, "arbiter": 1,
+    "t_junction": {"prediction": 1155, "behavior": 66, "arbiter": 0,
                    "options": 66},
 }
 
@@ -111,16 +112,15 @@ def test_constrained_solves_and_their_iterations(monkeypatch):
     assert counts == EXPECTED_CONSTRAINED
 
 
-@pytest.mark.parametrize("scene", sorted(EXPECTED_GRAPH_DISTANCES))
-def test_point_segment_distances_per_graph_build(monkeypatch, scene):
-    to_segments = Polyline._to_segments
+@pytest.mark.parametrize("scene", sorted(EXPECTED_GRAPH_PAIRS))
+def test_segment_pairs_per_graph_build(monkeypatch, scene):
+    within = geometry._within
     count = [0]
 
-    def counted(self, *args):
-        t, diff, dist = to_segments(self, *args)
-        count[0] += dist.size
-        return t, diff, dist
+    def counted(line, other, i, j):
+        count[0] += len(i)
+        return within(line, other, i, j)
 
-    monkeypatch.setattr(Polyline, "_to_segments", counted)
+    monkeypatch.setattr(geometry, "_within", counted)
     load_scenario(SCENARIO_DIR / f"{scene}.json")
-    assert count[0] == EXPECTED_GRAPH_DISTANCES[scene]
+    assert count[0] == EXPECTED_GRAPH_PAIRS[scene]
