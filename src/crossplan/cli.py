@@ -35,8 +35,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     if args.command == "run":
         out = Path(args.out)
+        summary = out.with_suffix(".summary.json")
         why = ("no such directory" if not out.parent.is_dir()
-               else "is a directory" if out.is_dir() else None)
+               else "is a directory" if out.is_dir()
+               else f"{summary} is a directory" if summary.is_dir() else None)
         if why:
             print(f"error: --out {args.out}: {why}", file=sys.stderr)
             return EXIT_INPUT

@@ -31,6 +31,7 @@ from .idm import LongTrajectory
 
 N_OPT = 60
 N_FIXED = 4  # leading positions pinned by the finite-difference stencils
+FIRST_CENTRE = N_FIXED  # first stencil centre that is costed and constrained
 MAX_ITER = 30  # active-set iterations, and Newton steps within each
 
 
@@ -58,12 +59,8 @@ def _solve_disks(C: np.ndarray, M: np.ndarray, G: np.ndarray, a_max: float,
     a = C
     for it in range(1, max_iter + 1):
         excess = (a * a).sum(axis=1) - a2
-        if excess.max() <= 1e-9:
-            return types.SimpleNamespace(
-                x=Z, nit=it, success=True,
-                message=f"converged: {len(active)} active constraints "
-                        f"after {it} iterations")
-        if it == max_iter:
+        success = bool(excess.max() <= 1e-9)
+        if success or it == max_iter:
             break
         bad = np.concatenate(([False], excess > 1e-9, [False]))
         bad[1:-1][active] = False
@@ -87,10 +84,12 @@ def _solve_disks(C: np.ndarray, M: np.ndarray, G: np.ndarray, a_max: float,
             active, lam = active[keep], lam[keep]
         Z = -M[active].T @ (lam[:, None] * a_A)
         a = C + M @ Z
-    return types.SimpleNamespace(
-        x=Z, nit=max_iter, success=False,
-        message=f"iteration limit {max_iter}: {len(active)} active "
-                f"constraints, largest excess {excess.max():.3g} m^2/s^4")
+    message = (f"converged: {len(active)} active constraints after {it} "
+               f"iterations" if success else
+               f"iteration limit {max_iter}: {len(active)} active "
+               f"constraints, largest excess {excess.max():.3g} m^2/s^4")
+    return types.SimpleNamespace(x=Z, nit=it, success=success,
+                                 message=message)
 
 
 # The one way `solve` reaches the constrained solver: a stand-in bound here
@@ -140,15 +139,16 @@ def _accelerations(x: np.ndarray, dt: float) -> np.ndarray:
 @dataclass
 class NlpResult:
     trajectory: CartesianTrajectory
-    converged: bool
+    converged: bool  # status is "closed_form" or "converged"
     iterations: int
-    cost: float
+    cost: float  # `assemble_cost` of the returned positions, for any status
     max_violation: float  # of ||a||^2 - a_max^2, m^2/s^4
     # how the solve ended: "closed_form" (the unconstrained optimum is
     # feasible), "converged", "braking_bypass" (emergency braking, smoothed
-    # only), "not_converged" (the active-set solver stopped at its
-    # iteration limit; see `message`) or "reference_fallback" (the closed
-    # form's or the active-set result cost more than the reference)
+    # only), "not_converged" (the active-set solver stopped at its limit, or
+    # its result exceeds a_max^2 by over 1e-6; see `message`) or
+    # "reference_fallback" (the closed form or the active-set result cost
+    # more than the reference, or a cost that is not finite)
     status: str
     message: str = ""  # the active-set solver's exit, or why it fell back
 
@@ -199,15 +199,16 @@ def _residuals(x: np.ndarray, dt: float):
     """Acceleration, jerk and snap residuals at their stencil centres, from
     repeated differences of the positions: differencing before scaling and
     squaring keeps them exact to rounding of the differences, wherever the
-    trajectory lies. acc (1,-2,1)/dt^2 at n=4..N-2; jerk (-1,2,0,-2,1)/(2 dt^3)
-    and snap (1,-4,6,-4,1)/dt^4 at n=4..N-3 (both need x_{n+2})."""
-    n = len(x)
+    trajectory lies. With c = FIRST_CENTRE: acc (1,-2,1)/dt^2 at n=c..N-2;
+    jerk (-1,2,0,-2,1)/(2 dt^3) and snap (1,-4,6,-4,1)/dt^4 at n=c..N-3
+    (both need x_{n+2})."""
+    n, c = len(x), FIRST_CENTRE
     d2 = np.diff(x, n=2, axis=0)  # d2[k] centred at k+1
     d3 = np.diff(d2, axis=0)      # d3[k] centred at k+1.5
     d4 = np.diff(d3, axis=0)      # d4[k] centred at k+2
-    acc = d2[N_FIXED - 1:n - 2] / dt**2
-    jerk = (d3[2:n - 4] + d3[3:n - 3]) / (2.0 * dt**3)
-    snap = d4[2:n - 4] / dt**4
+    acc = d2[c - 1:n - 2] / dt**2
+    jerk = (d3[c - 2:n - 4] + d3[c - 1:n - 3]) / (2.0 * dt**3)
+    snap = d4[c - 2:n - 4] / dt**4
     return acc, jerk, snap
 
 
@@ -218,15 +219,12 @@ def assemble_cost(positions: np.ndarray, reference: np.ndarray,
     stencil residuals."""
     x = np.asarray(positions, dtype=float)
     ref = np.asarray(reference, dtype=float)
-    n = len(x)
-    if n < 8:
-        raise TooShort("need at least 8 samples")
     dev = x[N_FIXED:] - ref[N_FIXED:]
     cost = weights.w_spatial * float((dev**2).sum())
     half_grad = np.zeros_like(x)
     half_grad[N_FIXED:] = weights.w_spatial * dev
     for w, D, r in zip((weights.w_acc, weights.w_jerk, weights.w_snap),
-                       _stencils(n, dt), _residuals(x, dt)):
+                       _stencils(len(x), dt), _residuals(x, dt)):
         cost += w * float((r**2).sum())
         half_grad += w * (D.T @ r)
     return cost, 2.0 * half_grad
@@ -244,8 +242,9 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     `optimize`, on whitened variables Z with free positions x* + L^-T Z:
     the objective is ||Z||^2 (the cost above J(x*)), the accelerations are
     affine in Z, and Z = 0 is x* itself.
-    Either result is returned only when its cost, recomputed by
-    `assemble_cost`, is no more than the reference's.
+    Every solve ends in one tail, which recomputes the cost with
+    `assemble_cost` (the braking bypass included) and returns the reference
+    in place of any other result that costs more than it.
 
     `status` on the result says how the solve ended; `converged` is true
     for "closed_form" and for "converged" (the active-set solver met every
@@ -256,80 +255,67 @@ def solve(reference: CartesianTrajectory, prefix: np.ndarray,
     prefix = np.asarray(prefix, dtype=float)
     if prefix.shape != (N_FIXED, 2):
         raise ValueError("prefix must be 4 positions")
-    n = len(ref)
     dt = reference.dt
-    Linv_T, M, G = _whitening(n, dt, weights.w_spatial, weights.w_acc,
+    Linv_T, M, G = _whitening(len(ref), dt, weights.w_spatial, weights.w_acc,
                               weights.w_jerk, weights.w_snap)
 
     # Newton steps from the reference: with g the cost's gradient, the step
-    # -Q_ff^-1 g / 2 is -L^-T z with z = L^-1 g / 2, and lowers the cost by
-    # z.z. Each step is exact to about cond(Q_ff) eps of its own length, and
-    # the first is as long as the reference is far from the optimum, not
-    # from the origin; two more take what is left to rounding.
+    # -Q_ff^-1 g / 2 is -L^-T z with z = L^-1 g / 2. Each step is exact to
+    # about cond(Q_ff) eps of its own length, and the first is as long as
+    # the reference is far from the optimum, not from the origin; two more
+    # take what is left to rounding.
     x_ref = ref.copy()
     x_ref[:N_FIXED] = prefix
     cost_ref, grad = assemble_cost(x_ref, ref, weights, dt)
     x = x_ref.copy()
     for step in range(3):
         if step:
-            cost, grad = assemble_cost(x, ref, weights, dt)
+            _, grad = assemble_cost(x, ref, weights, dt)
         z = 0.5 * (Linv_T.T @ grad[N_FIXED:])
         x[N_FIXED:] -= Linv_T @ z
-    cost -= float((z**2).sum())  # the last step's decrease
 
     a2max = weights.a_max**2
-
-    def fallback(iterations: int, message: str) -> NlpResult:
-        # never return something worse than the plain reference
-        viol_ref = _max_violation(x_ref, dt, a2max)
-        return NlpResult(CartesianTrajectory(x_ref, dt=dt),
-                         converged=False, iterations=iterations,
-                         cost=cost_ref, max_violation=max(viol_ref, 0.0),
-                         status="reference_fallback", message=message)
-
     viol = _max_violation(x, dt, a2max)
-    if viol <= 1e-9:
-        # judged on the recomputed cost: the Newton estimate goes wrong
-        # exactly when the factor does
-        cost_cf, _ = assemble_cost(x, ref, weights, dt)
-        if not cost_cf <= cost_ref + 1e-9:
-            return fallback(1, "closed form above the reference cost")
-        return NlpResult(CartesianTrajectory(x, dt=dt),
-                         converged=True, iterations=1, cost=cost_cf,
-                         max_violation=max(viol, 0.0), status="closed_form")
+    x_out, iterations, message, status = x, 1, "", "closed_form"
+    if viol > 1e-9:
+        # Emergency braking: car following decelerates up to HARD_DECEL to
+        # keep the gap, deliberately above the comfort limit. Forcing
+        # ||a|| <= a_max would stretch the braking distance and override
+        # safety, so such references get the unconstrained smoothing only;
+        # lateral (cornering) demand still goes to the solver.
+        v_mid = _velocities(x_ref, dt)
+        a_mid = _accelerations(x_ref, dt)
+        speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
+        tangential = (a_mid * v_mid).sum(axis=1) / speed
+        if float(tangential.min()) < -(weights.a_max + 0.25):
+            status = "braking_bypass"
+        else:
+            res = optimize.minimize(
+                _accelerations(x, dt)[FIRST_CENTRE - 1:], M, G,
+                weights.a_max, MAX_ITER)
+            x_out = x.copy()
+            x_out[N_FIXED:] += Linv_T @ res.x
+            iterations, message = int(res.nit), res.message
+            status = "converged" if res.success else "not_converged"
 
-    # Emergency braking: car following decelerates up to HARD_DECEL to keep
-    # the gap, deliberately above the comfort limit. Forcing ||a|| <= a_max
-    # would stretch the braking distance and override safety, so such
-    # references get the unconstrained smoothing only. Lateral (cornering)
-    # demand is untouched by this guard and still goes to the solver.
-    v_mid = _velocities(x_ref, dt)
-    a_mid = _accelerations(x_ref, dt)
-    speed = np.maximum(np.hypot(v_mid[:, 0], v_mid[:, 1]), 1e-9)
-    tangential = (a_mid * v_mid).sum(axis=1) / speed
-    if float(tangential.min()) < -(weights.a_max + 0.25):
-        return NlpResult(CartesianTrajectory(x, dt=dt),
-                         converged=False, iterations=1, cost=cost,
-                         max_violation=max(viol, 0.0),
-                         status="braking_bypass")
-
-    res = optimize.minimize(_accelerations(x, dt)[N_FIXED - 1:], M, G,
-                            weights.a_max, MAX_ITER)
-    x_out = x.copy()
-    x_out[N_FIXED:] += Linv_T @ res.x
-    cost_out, _ = assemble_cost(x_out, ref, weights, dt)
-
-    if (not np.all(np.isfinite(x_out))) or cost_out > cost_ref + 1e-9:
-        return fallback(int(res.nit), res.message)
-    viol_out = _max_violation(x_out, dt, a2max)
-    converged = bool(res.success) and viol_out <= 1e-6
+    # one tail: the cost recomputed on the result, which is never worse than
+    # the plain reference (but for the bypass; a NaN cost fails the guard),
+    # and the violation measured again only on positions not measured above
+    cost, _ = assemble_cost(x_out, ref, weights, dt)
+    if status != "braking_bypass" and not cost <= cost_ref + 1e-9:
+        x_out, cost, status = x_ref, cost_ref, "reference_fallback"
+        message = message or "closed form above the reference cost"
+    if x_out is not x:
+        viol = _max_violation(x_out, dt, a2max)
+    if status == "converged" and viol > 1e-6:
+        status = "not_converged"
     return NlpResult(CartesianTrajectory(x_out, dt=dt),
-                     converged=converged, iterations=int(res.nit),
-                     cost=cost_out, max_violation=max(viol_out, 0.0),
-                     status="converged" if converged else "not_converged",
-                     message=res.message)
+                     converged=status in ("closed_form", "converged"),
+                     iterations=iterations, cost=cost,
+                     max_violation=max(viol, 0.0), status=status,
+                     message=message)
 
 
 def _max_violation(x: np.ndarray, dt: float, a2max: float) -> float:
-    a = _accelerations(x, dt)[N_FIXED - 1:]  # the constrained a_4..a_N-2
+    a = _accelerations(x, dt)[FIRST_CENTRE - 1:]  # the constrained rows
     return float(((a**2).sum(axis=1) - a2max).max())

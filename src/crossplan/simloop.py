@@ -14,9 +14,11 @@ from . import arbiter, behavior, optimizer, prediction
 from .behavior import BehaviorKind
 from .geometry import Route, project_to_route
 from .idm import _GAP_EPS, DT, VEHICLE_LENGTH, LongState, idm_acceleration
-from .optimizer import N_OPT
+from .optimizer import N_FIXED, N_OPT
 from .scenario import IDM_AGENT, Scenario
 from .prediction import VehicleState
+
+NOW = N_FIXED - 1  # plan sample of a cycle's start, the prefix's last
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,8 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
     ego_pos = ego_route.centerline.point_at(scenario.ego_s)
     heading = ego_route.centerline.heading_at(scenario.ego_s)
     v_vec = scenario.ego_v * np.array([math.cos(heading), math.sin(heading)])
-    plan = np.array([ego_pos + v_vec * (k - 3) * DT for k in range(N_OPT)])
-    plan_idx = 3
+    plan = np.array([ego_pos + v_vec * (k - NOW) * DT for k in range(N_OPT)])
+    plan_idx = NOW
     last_kind: Optional[BehaviorKind] = None
     last_solve = (True, "")  # (converged, status) of the plan being executed
 
@@ -114,7 +116,7 @@ def run(scenario: Scenario, config: SimConfig = SimConfig()) -> list[TraceRecord
             plan, last_kind, costs, result = _replan(
                 plan, plan_idx, agents, graph, ego_route, params, last_kind)
             last_solve = (result.converged, result.status)
-            plan_idx = 3
+            plan_idx = NOW
             plan_ms = (_time.perf_counter() - tic) * 1e3
         else:
             plan_ms = 0.0
@@ -164,9 +166,9 @@ def _replan(plan, plan_idx, agents, graph, ego_route, params, last_kind):
     selected = arbiter.select(scored, last_kind)
     costs = {str(s.option.kind): s.total for s in scored}
 
-    # plan sample n corresponds to reference sample n-3: the prefix holds
+    # plan sample n corresponds to reference sample n - NOW: the prefix holds
     # the executed history
-    prefix = plan[plan_idx - 3:plan_idx + 1].copy()
+    prefix = plan[plan_idx - NOW:plan_idx + 1].copy()
     ref_traj = optimizer.reference_to_cartesian(
         selected.reference, ego_route, prefix, pose.d)
     result = optimizer.solve(ref_traj, prefix, params.optimizer)

@@ -261,8 +261,14 @@ def test_run_rejects_a_directory_as_output_before_simulating(
         raise AssertionError("simulated before checking --out")
 
     monkeypatch.setattr(cli, "run", simulate)
-    assert cli.main(["run", scenario_path, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"error: --out {tmp_path}: is a directory\n"
+    # the trace path itself, then a trace path whose summary is a directory
+    summary = tmp_path / "t.summary.json"
+    summary.mkdir()
+    for out, why in ((tmp_path, "is a directory"),
+                     (tmp_path / "t.csv", f"{summary} is a directory")):
+        assert cli.main(["run", scenario_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {why}\n"
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_planner_errors_exit_with_code_one(scenario_path, monkeypatch, capsys):

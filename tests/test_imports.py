@@ -1,6 +1,5 @@
 """Import hygiene of the planner package: every name a planner module
-imports is read somewhere in that module, importing the package pins the
-BLAS pools before numpy loads, and no solve loads scipy."""
+imports is read somewhere in that module, and no solve loads scipy."""
 
 import ast
 import json
@@ -12,22 +11,6 @@ from pathlib import Path
 import crossplan
 
 PACKAGE = Path(crossplan.__file__).parent
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-# prints the BLAS variables as they are when numpy starts to load
-BLAS_SPY = """
-import json, os, sys
-seen = {}
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.update((v, os.environ.get(v)) for v in %r)
-        return None
-sys.meta_path.insert(0, Spy())
-import crossplan
-print(json.dumps(seen))
-""" % (BLAS_VARS,)
 
 # a short bundled merge_rural episode, then tests/test_optimizer.py's
 # right-angle corner at 11 m/s under a_max = 2; prints the scipy modules
@@ -102,24 +85,6 @@ def run_fresh(script: str, env: dict) -> dict:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
-
-
-def blas_env_at_numpy_load(preset: dict) -> dict:
-    """The BLAS variables numpy sees in a fresh process that imports
-    crossplan, started with none of them set but `preset`."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env.update(preset)
-    return run_fresh(BLAS_SPY, env)
-
-
-def test_import_pins_blas_to_one_thread_before_numpy_loads():
-    assert blas_env_at_numpy_load({}) == {v: "1" for v in BLAS_VARS}
-
-
-def test_import_keeps_a_blas_thread_count_already_set():
-    seen = blas_env_at_numpy_load({"OPENBLAS_NUM_THREADS": "2"})
-    assert seen == {v: "2" if v == "OPENBLAS_NUM_THREADS" else "1"
-                    for v in BLAS_VARS}
 
 
 def test_no_scipy_module_loads_even_at_a_constrained_solve():

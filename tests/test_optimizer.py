@@ -222,6 +222,13 @@ def test_constrained_solve_meets_the_kkt_conditions():
     assert most_active > 20
 
 
+def _assert_result_contract(result, ref, weights):
+    # the reported cost is the returned positions' own, bit for bit
+    c_out, _ = assemble_cost(result.trajectory.positions, ref, weights, DT)
+    assert result.cost == c_out, (result.status, result.cost, c_out)
+    assert result.converged == (result.status in ("closed_form", "converged"))
+
+
 def test_solve_reports_how_it_ended(monkeypatch):
     weights = OptimizerWeights(a_max=2.0)
     ref = _corner_reference(14.0)
@@ -230,20 +237,44 @@ def test_solve_reports_how_it_ended(monkeypatch):
     assert converged.status == "converged"
     assert converged.message.startswith("converged: ")
     assert converged.iterations > 3
-    monkeypatch.setattr(optimizer, "MAX_ITER", 3)
-    stopped = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
-                    weights)
+    _assert_result_contract(converged, ref, weights)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "MAX_ITER", 3)
+        stopped = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
+                        weights)
     assert stopped.status == "not_converged" and not stopped.converged
     assert stopped.iterations == 3
     assert stopped.message.startswith("iteration limit 3: ")
+    _assert_result_contract(stopped, ref, weights)
     # a smooth circle driven at 7.9 m/s^2 lateral: every trajectory within
     # a_max = 5 strays so far from it that it costs more than the reference
     t = np.arange(N) * DT
     ref = 20.0 * np.stack([np.sin(0.63 * t), 1.0 - np.cos(0.63 * t)], axis=1)
+    weights = OptimizerWeights(a_max=5.0)
     fallback = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
-                     OptimizerWeights(a_max=5.0))
+                     weights)
     assert fallback.status == "reference_fallback" and not fallback.converged
+    assert fallback.message.startswith("converged: ")
     assert np.array_equal(fallback.trajectory.positions, ref)
+    _assert_result_contract(fallback, ref, weights)
+    # a 0.3 m wiggle is feasible in closed form, until a factor scaled by
+    # 1.5 overshoots it to a cost above the reference's
+    t = t[:, None]
+    ref = (np.array([300.0, 0.0]) + 10.0 * t * np.array([1.0, 0.0])
+           + 0.3 * np.sin(2.0 * t) * np.array([0.0, 1.0]))
+    closed = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
+                   weights)
+    assert closed.status == "closed_form" and closed.message == ""
+    _assert_result_contract(closed, ref, weights)
+    whitening = optimizer._whitening
+    monkeypatch.setattr(optimizer, "_whitening",
+                        lambda *a: tuple(1.5 * m for m in whitening(*a)))
+    above = solve(CartesianTrajectory(ref, DT), ref[:N_FIXED].copy(),
+                  weights)
+    assert above.status == "reference_fallback"
+    assert above.message == "closed form above the reference cost"
+    assert above.iterations == 1
+    _assert_result_contract(above, ref, weights)
 
 
 def test_solve_never_increases_cost_over_the_reference_guess():
@@ -338,7 +369,7 @@ def test_emergency_braking_keeps_the_unconstrained_smoothing():
     # still the cost-optimal smoothing, never worse than the raw reference
     c_out, _ = assemble_cost(result.trajectory.positions, ref, weights, dt)
     c_ref, _ = assemble_cost(ref, ref, weights, dt)
-    assert c_out <= c_ref + 1e-9
+    assert result.cost == c_out <= c_ref + 1e-9
     # braking is preserved, not relaxed to the comfort limit
     x = result.trajectory.positions
     assert float(np.hypot(*(x[-1] - x[-2]))) / dt < 3.0

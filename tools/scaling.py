@@ -31,7 +31,6 @@ import repo  # noqa: E402
 repo.make_importable()
 sys.path.append(str(repo.ROOT / "tests"))
 
-# the planner first, so its BLAS pin is in place before numpy loads
 from crossplan import (SimConfig, collision_check, load_scenario,  # noqa: E402
                        simloop)
 

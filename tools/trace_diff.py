@@ -11,6 +11,7 @@ that this checkout's `trace_digest.lines` lists. Per line it prints
   that both have with different values (moved),
 - the records whose ego state (arc length, position, speed and
   accelerations) differs,
+- the records whose `solver_status` differs (the digest leaves it out),
 - the episodes whose sequence of selected options changes, and
 - the largest shift of an episode's final ego arc length.
 
@@ -35,39 +36,41 @@ EGO_STATE = ("ego_s", "ego_x", "ego_y", "ego_v", "ego_a_lon", "ego_a_lat",
 def summarise(src: str, index: int) -> list[list[tuple]]:
     """Line `index` of `trace_digest.lines(0)` planned by the `crossplan`
     under `src`: per episode, per record (option costs, ego state,
-    selected option). Run it in a process of its own."""
+    selected option, solver status). Run it in a process of its own."""
     sys.path.insert(0, src)
     # imported first, this planner stays the one in use after trace_digest
-    # puts this checkout's `src` first on the path; its BLAS pin is then in
-    # place before numpy loads
+    # puts this checkout's `src` first on the path
     import crossplan
     sys.path.insert(0, str(TOOLS))
     import trace_digest
 
     _, scenarios = trace_digest.lines(0)[index]
     return [[(rec.option_costs, tuple(getattr(rec, f) for f in EGO_STATE),
-              rec.selected)
+              rec.selected, rec.solver_status)
              for rec in crossplan.simloop.run(sc, crossplan.SimConfig())]
             for sc in scenarios]
 
 
 def compare(ours: list[list[tuple]], theirs: list[list[tuple]]) -> str:
     """The differences between two `summarise` results, as one line."""
-    removed = added = moved = states = changed = records = 0
+    removed = added = moved = states = statuses = changed = records = 0
     shift = 0.0
     for a, b in zip(ours, theirs, strict=True):
-        for (costs_a, state_a, _), (costs_b, state_b, _) in zip_longest(
-                a, b, fillvalue=({}, None, None)):
+        for ((costs_a, state_a, _, status_a),
+             (costs_b, state_b, _, status_b)) in zip_longest(
+                a, b, fillvalue=({}, None, None, None)):
             records += 1
             removed += len(costs_b.keys() - costs_a.keys())
             added += len(costs_a.keys() - costs_b.keys())
             moved += sum(costs_a[k] != costs_b[k]
                          for k in costs_a.keys() & costs_b.keys())
             states += state_a != state_b
+            statuses += status_a != status_b
         changed += [r[2] for r in a] != [r[2] for r in b]
         shift = max(shift, abs(a[-1][1][0] - b[-1][1][0]))
     return (f"option-cost entries removed {removed}, added {added}, moved"
             f" {moved}; ego state differs in {states} of {records} records;"
+            f" solver status differs in {statuses} of {records} records;"
             f" selections change in {changed} of {len(ours)} episodes;"
             f" largest final ego_s shift {shift:.3g} m")
 

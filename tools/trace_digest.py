@@ -30,7 +30,6 @@ import repo  # noqa: E402
 
 repo.make_importable()
 
-# the planner first, so its BLAS pin is in place before numpy loads
 from crossplan import (SimConfig, load_scenario, scenario_from_dict,  # noqa: E402
                        simloop)
 
